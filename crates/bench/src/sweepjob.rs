@@ -45,8 +45,8 @@ fn parse_payload(bytes: &[u8]) -> Result<Value, String> {
 
 /// Run every cell of the grid in-process, in grid order. Workload
 /// ingests are computed once per workload and shared across the
-/// topology × mapping plane, mirroring the service's per-job ingest
-/// cache.
+/// topology × mapping plane, as the service's ingest cache shares them
+/// across job cells.
 pub fn run_grid_local(grid: &GridSpec) -> Result<Vec<CellResult>, String> {
     let mut ingests: HashMap<String, Arc<netloc_core::IngestResult>> = HashMap::new();
     let mut out = Vec::with_capacity(grid.cell_count() as usize);

@@ -111,13 +111,16 @@ impl Trace {
     /// communicators (e.g. from `MPI_Cart_sub`) break the rank-identity
     /// assumption of the static analysis.
     pub fn uses_only_global_communicators(&self) -> bool {
-        self.events.iter().all(|te| match &te.event {
-            Event::Collective { comm, .. } => self
-                .comms
-                .get(*comm)
-                .map(|c| c.is_global())
-                .unwrap_or(false),
-            Event::Send { .. } => true,
+        self.first_non_global_collective().is_none()
+    }
+
+    /// Index of the first event that makes
+    /// [`uses_only_global_communicators`](Trace::uses_only_global_communicators)
+    /// false: a collective on a non-global or unknown communicator.
+    pub fn first_non_global_collective(&self) -> Option<usize> {
+        self.events.iter().position(|te| match &te.event {
+            Event::Collective { comm, .. } => !self.comms.get(*comm).is_some_and(|c| c.is_global()),
+            Event::Send { .. } => false,
         })
     }
 

@@ -1,4 +1,4 @@
-//! The two-level shared state of the analysis server.
+//! The cached shared state of the analysis server.
 //!
 //! **Level 1 — [`TopoCache`]:** one [`SharedRoutes`] (a flat
 //! [`RouteTable`] or a [`CompressedRouteTable`]) per distinct canonical
@@ -19,7 +19,14 @@
 //! entry); the index is its fxhash. FxHash is not collision-resistant, so a
 //! lookup only counts as a hit when the stored full key matches — a
 //! colliding entry is treated as a miss and overwritten. Eviction is LRU by
-//! total cached bytes.
+//! total cached bytes. `stats|digest[|windows:N]` and `metrics|digest`
+//! keys cache the trace-only endpoints the same way.
+//!
+//! **Ingest — [`IngestCache`]:** trace-source digest → the *slim* fold of
+//! the trace (matrices, stats and header; events dropped),
+//! single-flight per digest and LRU by estimated bytes. It is the only
+//! place a request or job cell folds a trace, and it is consulted only
+//! after the result tiers missed.
 //!
 //! **Durability (PR 7):** both levels can be backed by the persistent
 //! [`DiskStore`]. The in-memory layer is then read-through/write-behind:
@@ -31,6 +38,7 @@
 
 use crate::store::{DiskStore, Kind};
 use netloc_core::canon::content_digest;
+use netloc_core::{IngestResult, PairTraffic};
 use netloc_topology::routetable::{COMPRESSED_PAIR_LIMIT, DENSE_PAIR_LIMIT};
 use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, SymmetryHint, Topology};
 use serde::Serialize;
@@ -217,16 +225,18 @@ impl TopoCache {
     }
 }
 
-struct Entry {
+struct Entry<V> {
     /// Full canonical key, verified on every lookup (fxhash may collide).
     key: String,
-    bytes: Arc<Vec<u8>>,
+    value: V,
+    /// What `value` counts against the capacity.
+    bytes: usize,
     /// Recency stamp; the freshest stamp in `recency` wins.
     seq: u64,
 }
 
-struct LruState {
-    entries: HashMap<u64, Entry>,
+struct LruState<V> {
+    entries: HashMap<u64, Entry<V>>,
     /// Recency list, oldest first. May hold stale (hash, seq) pairs for
     /// entries that were touched again later; eviction skips those.
     recency: std::collections::VecDeque<(u64, u64)>,
@@ -234,20 +244,25 @@ struct LruState {
     next_seq: u64,
 }
 
-/// Level-2 cache: canonical request key → exact response bytes, LRU by
-/// total byte size.
-pub struct ResultCache {
-    state: Mutex<LruState>,
+/// Canonical string key → shared value, LRU by the total byte size the
+/// caller declares per value. The result cache, the trace registry and
+/// the ingest cache are all instances.
+pub struct ByteLru<V> {
+    state: Mutex<LruState<V>>,
     capacity_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl ResultCache {
-    /// An empty cache bounded to `capacity_bytes` of response bodies.
+/// Level-2 cache: canonical request key → exact response bytes, LRU by
+/// total byte size.
+pub type ResultCache = ByteLru<Arc<Vec<u8>>>;
+
+impl<V: Clone> ByteLru<V> {
+    /// An empty cache bounded to `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
-        ResultCache {
+        ByteLru {
             state: Mutex::new(LruState {
                 entries: HashMap::new(),
                 recency: std::collections::VecDeque::new(),
@@ -261,51 +276,54 @@ impl ResultCache {
         }
     }
 
-    /// Look up the exact bytes cached for `key`, refreshing its recency.
+    /// Look up the value cached for `key`, refreshing its recency.
     /// Counts a hit or miss either way.
-    pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        let hash = content_digest(key.as_bytes());
-        let mut s = self.state.lock().expect("result cache lock");
-        match s.entries.get(&hash) {
-            Some(entry) if entry.key == key => {
-                let bytes = Arc::clone(&entry.bytes);
-                let seq = s.next_seq;
-                s.next_seq += 1;
-                s.entries.get_mut(&hash).expect("present").seq = seq;
-                s.recency.push_back((hash, seq));
-                drop(s);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            _ => {
-                drop(s);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    pub fn get(&self, key: &str) -> Option<V> {
+        let found = self.peek(key);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Insert (or replace) the bytes for `key`, evicting least-recently
-    /// used entries until the total fits the capacity. Bodies larger than
-    /// the whole capacity are not cached at all.
-    pub fn insert(&self, key: &str, bytes: Arc<Vec<u8>>) {
-        if bytes.len() > self.capacity_bytes {
+    /// [`get`](ByteLru::get) without counting a hit or miss.
+    fn peek(&self, key: &str) -> Option<V> {
+        let hash = content_digest(key.as_bytes());
+        let mut s = self.state.lock().expect("lru cache lock");
+        let seq = s.next_seq;
+        let entry = s.entries.get_mut(&hash).filter(|e| e.key == key)?;
+        entry.seq = seq;
+        let value = entry.value.clone();
+        s.next_seq += 1;
+        s.recency.push_back((hash, seq));
+        Some(value)
+    }
+
+    /// Insert (or replace) `value` for `key`, counting `bytes` against
+    /// the capacity, and evict least-recently used entries until the
+    /// total fits. Values larger than the whole capacity are not cached.
+    fn insert_sized(&self, key: &str, value: V, bytes: usize) {
+        if bytes > self.capacity_bytes {
             return;
         }
         let hash = content_digest(key.as_bytes());
-        let mut s = self.state.lock().expect("result cache lock");
+        let mut s = self.state.lock().expect("lru cache lock");
         if let Some(old) = s.entries.remove(&hash) {
             // Same key racing with itself, or an fxhash collision: either
-            // way the newcomer replaces the old bytes.
-            s.total_bytes -= old.bytes.len();
+            // way the newcomer replaces the old value.
+            s.total_bytes -= old.bytes;
         }
         let seq = s.next_seq;
         s.next_seq += 1;
-        s.total_bytes += bytes.len();
+        s.total_bytes += bytes;
         s.entries.insert(
             hash,
             Entry {
                 key: key.to_string(),
+                value,
                 bytes,
                 seq,
             },
@@ -318,7 +336,7 @@ impl ResultCache {
             let evict = matches!(s.entries.get(&old_hash), Some(e) if e.seq == old_seq);
             if evict {
                 let old = s.entries.remove(&old_hash).expect("checked");
-                s.total_bytes -= old.bytes.len();
+                s.total_bytes -= old.bytes;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
             // Stale recency stamps (the entry was touched again later, or
@@ -328,7 +346,7 @@ impl ResultCache {
 
     /// Counters and occupancy for `statusz`.
     pub fn stats(&self) -> ResultCacheStats {
-        let s = self.state.lock().expect("result cache lock");
+        let s = self.state.lock().expect("lru cache lock");
         ResultCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -338,6 +356,113 @@ impl ResultCache {
             capacity_bytes: self.capacity_bytes,
         }
     }
+}
+
+impl ResultCache {
+    /// Insert (or replace) the bytes for `key`; they count their own
+    /// length against the capacity.
+    pub fn insert(&self, key: &str, bytes: Arc<Vec<u8>>) {
+        let len = bytes.len();
+        self.insert_sized(key, bytes, len);
+    }
+}
+
+/// The per-digest ingest cache: the trace-source digest → the *slim*
+/// fold of that trace (events dropped, see `slim`), LRU by estimated
+/// resident bytes.
+///
+/// Interactive requests and sweep-job cells share it, so a trace is
+/// folded once however many endpoints, topologies, mappings or cells
+/// read it. Misses are single-flight per digest: concurrent callers for
+/// one digest wait on the first caller's ingest instead of repeating it.
+pub struct IngestCache {
+    lru: ByteLru<Arc<IngestResult>>,
+    /// One lock per digest being ingested right now.
+    flights: Mutex<HashMap<String, Arc<Mutex<()>>>>,
+}
+
+impl IngestCache {
+    /// An empty cache bounded to about `capacity_bytes` of slim folds.
+    pub fn new(capacity_bytes: usize) -> Self {
+        IngestCache {
+            lru: ByteLru::new(capacity_bytes),
+            flights: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The slim fold cached for `digest`, or the slim form of `ingest()`
+    /// on a miss. A failed ingest is not cached; the next caller retries.
+    pub fn get_or_ingest<E>(
+        &self,
+        digest: &str,
+        ingest: impl FnOnce() -> Result<IngestResult, E>,
+    ) -> Result<Arc<IngestResult>, E> {
+        if let Some(hit) = self.lru.get(digest) {
+            return Ok(hit);
+        }
+        let flight = Arc::clone(
+            self.flights
+                .lock()
+                .expect("ingest flights lock")
+                .entry(digest.to_string())
+                .or_default(),
+        );
+        let result = {
+            let _turn = flight.lock().expect("ingest flight lock");
+            // A caller that held the turn before us may have finished
+            // this very ingest.
+            match self.lru.peek(digest) {
+                Some(done) => Ok(done),
+                None => ingest().map(|full| {
+                    let folded = Arc::new(slim(full));
+                    self.lru
+                        .insert_sized(digest, Arc::clone(&folded), slim_bytes(&folded));
+                    folded
+                }),
+            }
+        };
+        let mut flights = self.flights.lock().expect("ingest flights lock");
+        if flights
+            .get(digest)
+            .is_some_and(|current| Arc::ptr_eq(current, &flight))
+        {
+            flights.remove(digest);
+        }
+        result
+    }
+
+    /// Counters and occupancy for `statusz`.
+    pub fn stats(&self) -> ResultCacheStats {
+        self.lru.stats()
+    }
+}
+
+/// Drop a fold's events — nearly all of its memory — keeping the trace
+/// header, communicators, both matrices and the stats, which is all the
+/// non-windowed payloads read. One event survives when the trace has a
+/// collective off the global communicators, so the slim trace answers
+/// `uses_only_global_communicators` (the stats payload's `global_only`)
+/// exactly as the full trace does.
+fn slim(mut ingest: IngestResult) -> IngestResult {
+    let witness = ingest.trace.first_non_global_collective();
+    let mut events = std::mem::take(&mut ingest.trace.events);
+    if let Some(i) = witness {
+        ingest.trace.events.push(events.swap_remove(i));
+    }
+    ingest
+}
+
+/// Estimated resident bytes of a slim fold: each matrix pair lives in a
+/// hash map (counted twice for its load-factor slack) and in the sorted
+/// view a replay builds, plus the communicator member lists.
+fn slim_bytes(ingest: &IngestResult) -> usize {
+    let pair = std::mem::size_of::<((u32, u32), PairTraffic)>();
+    let pairs = ingest.matrix.num_pairs() + ingest.p2p.num_pairs();
+    let members: usize = ingest.trace.comms.iter().map(|c| c.size()).sum();
+    std::mem::size_of::<IngestResult>()
+        + pairs * 3 * pair
+        + members * std::mem::size_of::<u32>()
+        + ingest.trace.app.len()
 }
 
 /// Which layer satisfied a [`tiered_get`] lookup.
@@ -383,10 +508,11 @@ pub fn tiered_insert(
     }
 }
 
-/// A `statusz` snapshot of the result cache.
+/// A `statusz` snapshot of one [`ByteLru`] (result cache, trace
+/// registry, or ingest cache).
 #[derive(Debug, Clone, Serialize)]
 pub struct ResultCacheStats {
-    /// Lookups that returned cached bytes.
+    /// Lookups that returned a cached value.
     pub hits: u64,
     /// Lookups that found nothing (or a colliding key).
     pub misses: u64,
@@ -476,6 +602,92 @@ mod tests {
         cache.insert("k", Arc::new(b"new".to_vec()));
         assert_eq!(cache.get("k").unwrap().as_slice(), b"new");
         assert_eq!(cache.stats().entries, 1);
+    }
+
+    fn sample_ingest(app: &str, sub_comm: bool) -> IngestResult {
+        use netloc_mpi::{CollectiveOp, Payload, Rank, TraceBuilder};
+        let mut b = TraceBuilder::new(app, 8).exec_time_s(1.0);
+        for r in 0..8u32 {
+            b.send(Rank(r), Rank((r + 3) % 8), 1024, 2);
+        }
+        if sub_comm {
+            let pair = b.register_comm(vec![Rank(1), Rank(0)]);
+            b.collective_on(CollectiveOp::Bcast, pair, Some(0), Payload::Uniform(64), 1);
+        }
+        b.collective(CollectiveOp::Allreduce, None, Payload::Uniform(64), 1);
+        netloc_core::ingest_trace(b.build())
+    }
+
+    #[test]
+    fn ingest_cache_is_single_flight_per_digest() {
+        const CALLERS: u64 = 8;
+        let cache = Arc::new(IngestCache::new(1 << 20));
+        let (folds, arrived) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let handles: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let (cache, folds, arrived) =
+                    (Arc::clone(&cache), Arc::clone(&folds), Arc::clone(&arrived));
+                std::thread::spawn(move || {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    cache
+                        .get_or_ingest("d", || {
+                            folds.fetch_add(1, Ordering::SeqCst);
+                            // Keep the flight open until every caller has
+                            // asked for the digest.
+                            while arrived.load(Ordering::SeqCst) < CALLERS {
+                                std::thread::yield_now();
+                            }
+                            Ok::<_, ()>(sample_ingest("one", false))
+                        })
+                        .unwrap()
+                })
+            })
+            .collect();
+        let got: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(
+            folds.load(Ordering::SeqCst),
+            1,
+            "one fold for eight callers"
+        );
+        assert!(got.iter().all(|g| Arc::ptr_eq(g, &got[0])));
+        assert!(got[0].trace.events.is_empty(), "cached folds are slim");
+        assert_eq!(cache.stats().entries, 1);
+    }
+
+    #[test]
+    fn ingest_cache_retries_failures_and_evicts_by_bytes() {
+        let one = sample_ingest("one", false);
+        let cap = slim_bytes(&slim(one.clone())) + 8;
+        let cache = IngestCache::new(cap);
+        assert_eq!(cache.get_or_ingest("a", || Err("bad")).unwrap_err(), "bad");
+        assert_eq!(cache.stats().entries, 0, "failures are not cached");
+        cache.get_or_ingest("a", || Ok::<_, ()>(one)).unwrap();
+        cache
+            .get_or_ingest("b", || Ok::<_, ()>(sample_ingest("two", false)))
+            .unwrap();
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (1, 1));
+        assert!(s.bytes <= s.capacity_bytes);
+        let again = cache
+            .get_or_ingest("b", || Err("must hit"))
+            .expect("the newest entry stays");
+        assert_eq!(again.trace.app, "two");
+    }
+
+    #[test]
+    fn slim_folds_keep_what_the_payloads_read() {
+        for sub_comm in [false, true] {
+            let full = sample_ingest("x", sub_comm);
+            let thin = slim(full.clone());
+            assert!(thin.trace.events.len() <= 1);
+            assert_eq!(
+                thin.trace.uses_only_global_communicators(),
+                full.trace.uses_only_global_communicators()
+            );
+            assert_eq!(full.trace.uses_only_global_communicators(), !sub_comm);
+            assert_eq!(thin.trace.comms.len(), full.trace.comms.len());
+            assert_eq!(thin.matrix.sorted_pairs(), full.matrix.sorted_pairs());
+        }
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

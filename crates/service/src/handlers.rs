@@ -16,7 +16,7 @@ use crate::server::AppState;
 use crate::store::{DiskStoreStats, Kind};
 use netloc_core::canon::{canonical_json, content_digest, digest_hex};
 use netloc_core::sweep::GridSpec;
-use netloc_core::{ingest_trace, ingest_trace_bytes, IngestResult};
+use netloc_core::IngestResult;
 use netloc_mpi::Trace;
 use netloc_topology::{MappingSpec, RoutedTopology, SymmetryHint, TopologySpec};
 use serde::{Serialize, Value};
@@ -141,12 +141,7 @@ fn decode_shard(fields: &[(String, Value)]) -> Result<Option<ShardSpec>, Respons
 }
 
 fn jobs_submit(state: &Arc<AppState>, body: &[u8]) -> Response {
-    let value = match parse_json_body(body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let result = (|| {
-        let fields = obj(&value)?;
+    json_request(body, |fields| {
         let topologies = str_array_field(fields, "topologies")?
             .ok_or_else(|| Response::error(400, "missing 'topologies' array"))?;
         let mappings =
@@ -184,8 +179,7 @@ fn jobs_submit(state: &Arc<AppState>, body: &[u8]) -> Response {
         Ok(Response::json(
             canonical_json(&jobs::summary_value(&job)).into_bytes(),
         ))
-    })();
-    result.unwrap_or_else(|resp| resp)
+    })
 }
 
 fn jobs_list(state: &Arc<AppState>) -> Response {
@@ -256,6 +250,7 @@ struct StatuszResponse {
     route_tables_built: u64,
     route_tables_from_disk: u64,
     route_table_specs: usize,
+    ingest_cache: ResultCacheStats,
     traces_ingested: u64,
     ingest_events: u64,
     jobs: JobsStats,
@@ -282,6 +277,7 @@ fn statusz(state: &AppState) -> Response {
         route_tables_built: state.topo_cache.tables_built(),
         route_tables_from_disk: state.topo_cache.tables_from_disk(),
         route_table_specs: state.topo_cache.specs_cached(),
+        ingest_cache: state.ingests.stats(),
         traces_ingested: state.traces_ingested.load(Ordering::Relaxed),
         ingest_events: state.ingest_events.load(Ordering::Relaxed),
         jobs: state.jobs.stats(),
@@ -292,37 +288,59 @@ fn statusz(state: &AppState) -> Response {
 /// `POST /v1/traces`: register a raw dumpi trace body once, get back its
 /// content digest, and reference it as `"trace_digest"` in later
 /// `analyze`/`sweep`/`stats`/`metrics` calls instead of re-sending the
-/// multi-MB body. The upload is validated by a full ingest before it is
-/// accepted, cached in memory, and persisted to the store when one is
-/// configured.
+/// multi-MB body. The upload is validated by a full decode before it is
+/// accepted; its bytes go to the registry and its metadata record to
+/// the result tiers (see [`register`]).
 fn register_trace(state: &AppState, body: &[u8]) -> Response {
     if body.is_empty() {
         return Response::error(400, "empty trace upload");
     }
-    let ingest = match netloc_core::ingest_trace_bytes(body) {
-        Ok(r) => r,
-        Err(e) => return Response::error(400, &format!("bad trace: {e}")),
-    };
-    state.traces_ingested.fetch_add(1, Ordering::Relaxed);
-    state
-        .ingest_events
-        .fetch_add(ingest.trace.events.len() as u64, Ordering::Relaxed);
-    let digest = digest_hex(content_digest(body));
+    match netloc_core::ingest::parse_trace_auto(body) {
+        Ok(trace) => register(state, &trace, body.to_vec()),
+        Err(e) => Response::error(400, &format!("bad trace: {e}")),
+    }
+}
+
+/// Register `bytes`, the encoding of the already-decoded `trace`: the
+/// bytes go to the registry (memory, and the store when configured), and
+/// a metadata record with the rank count goes to the result tiers, so
+/// later requests by digest resolve `topology: "auto"` and their cache
+/// keys without decoding the trace again. The record is a separate entry;
+/// the registered bytes, and so the digest, are exactly the upload.
+fn register(state: &AppState, trace: &Trace, bytes: Vec<u8>) -> Response {
+    state.count_ingest(trace);
+    let digest = digest_hex(content_digest(&bytes));
+    let reply = format!(
+        "{{\n  \"digest\": {},\n  \"ranks\": {},\n  \"events\": {},\n  \"bytes\": {}\n}}\n",
+        json_escape(&digest),
+        trace.num_ranks,
+        trace.events.len(),
+        bytes.len()
+    );
     tiered_insert(
         &state.registry,
         state.store.as_deref(),
         Kind::Trace,
         &digest,
-        &Arc::new(body.to_vec()),
+        &Arc::new(bytes),
     );
-    let reply = format!(
-        "{{\n  \"digest\": {},\n  \"ranks\": {},\n  \"events\": {},\n  \"bytes\": {}\n}}\n",
-        json_escape(&digest),
-        ingest.trace.num_ranks,
-        ingest.trace.events.len(),
-        body.len()
-    );
+    put_ranks_record(state, &digest, trace.num_ranks);
     Response::json(reply.into_bytes())
+}
+
+/// Result-tier key of a registered trace's metadata record.
+fn ranks_key(digest: &str) -> String {
+    format!("trace-ranks|{digest}")
+}
+
+fn put_ranks_record(state: &AppState, digest: &str, ranks: u32) {
+    tiered_insert(
+        &state.result_cache,
+        state.store.as_deref(),
+        Kind::Result,
+        &ranks_key(digest),
+        &Arc::new(ranks.to_string().into_bytes()),
+    );
 }
 
 /// Incremental sink for chunked `POST /v1/traces` uploads.
@@ -401,33 +419,13 @@ impl BodySink for TraceUploadSink {
 pub(crate) fn finish_upload(state: &AppState, sink: TraceUploadSink) -> Response {
     match sink.lane {
         UploadLane::Probe(buf) | UploadLane::Buffered(buf) => register_trace(state, &buf),
-        UploadLane::Columnar(parser) => {
-            let trace = match parser.finish() {
-                Ok(t) => t,
-                Err(e) => return Response::error(400, &format!("bad trace: {e}")),
-            };
-            state.traces_ingested.fetch_add(1, Ordering::Relaxed);
-            state
-                .ingest_events
-                .fetch_add(trace.events.len() as u64, Ordering::Relaxed);
-            let bytes = netloc_mpi::write_trace_columnar(&trace);
-            let digest = digest_hex(content_digest(&bytes));
-            let reply = format!(
-                "{{\n  \"digest\": {},\n  \"ranks\": {},\n  \"events\": {},\n  \"bytes\": {}\n}}\n",
-                json_escape(&digest),
-                trace.num_ranks,
-                trace.events.len(),
-                bytes.len()
-            );
-            tiered_insert(
-                &state.registry,
-                state.store.as_deref(),
-                Kind::Trace,
-                &digest,
-                &Arc::new(bytes),
-            );
-            Response::json(reply.into_bytes())
-        }
+        UploadLane::Columnar(parser) => match parser.finish() {
+            Ok(trace) => {
+                let bytes = netloc_mpi::write_trace_columnar(&trace);
+                register(state, &trace, bytes)
+            }
+            Err(e) => Response::error(400, &format!("bad trace: {e}")),
+        },
     }
 }
 
@@ -451,16 +449,6 @@ fn shutdown(state: &AppState) -> Response {
 }
 
 // ---- request decoding ------------------------------------------------
-
-/// The fields shared by every analysis request body: the fused ingest
-/// result (trace + traffic matrices + stats from one pass) and the cache
-/// key component.
-struct AnalysisInput {
-    ingest: IngestResult,
-    /// Hex content digest of the trace *source* (inline text bytes, or the
-    /// canonical workload spec) — the first component of the cache key.
-    digest: String,
-}
 
 fn parse_json_body(body: &[u8]) -> Result<Value, Response> {
     let text = std::str::from_utf8(body).map_err(|e| {
@@ -491,77 +479,127 @@ fn str_field<'a>(fields: &'a [(String, Value)], name: &str) -> Result<Option<&'a
     }
 }
 
-/// Decode the trace source: inline dumpi text (`"trace"`), a generated
+/// Where a request's trace comes from.
+enum Source<'a> {
+    /// Inline dumpi text (`"trace"`).
+    Inline(&'a str),
+    /// A generated workload (`"workload": "APP:RANKS"`).
+    Workload(netloc_workloads::App, u32),
+    /// Registered bytes (`"trace_digest"`), digest-verified.
+    Registered(Arc<Vec<u8>>),
+}
+
+/// A trace source resolved far enough to build cache keys, without
+/// folding the trace: the lookup order is source → metadata → key →
+/// result tiers, and only a result miss reaches the ingest cache.
+struct Resolved<'a> {
+    source: Source<'a>,
+    /// Hex content digest of the source (inline text bytes, registered
+    /// bytes, or the canonical workload spec) — the first component of
+    /// every cache key, and the ingest-cache key.
+    digest: String,
+    /// World size, which resolves `topology: "auto"`.
+    ranks: u32,
+}
+
+impl Resolved<'_> {
+    /// Decode the full trace, events included. Windowed payloads call
+    /// this directly, since the ingest cache keeps no events.
+    fn decode(&self) -> Result<Trace, Response> {
+        let parse = |bytes: &[u8], what: &str| {
+            netloc_core::ingest::parse_trace_auto(bytes)
+                .map_err(|e| Response::error(400, &format!("{what}: {e}")))
+        };
+        match &self.source {
+            Source::Inline(text) => parse(text.as_bytes(), "bad trace"),
+            Source::Workload(app, ranks) => Ok(netloc_workloads::generate_workload(*app, *ranks)),
+            Source::Registered(bytes) => parse(bytes, "bad registered trace"),
+        }
+    }
+
+    /// The slim fold of the trace, through the ingest cache.
+    fn ingest(&self, state: &AppState) -> Result<Arc<IngestResult>, Response> {
+        state.ingest(&self.digest, || self.decode())
+    }
+}
+
+/// Resolve the trace source: inline dumpi text (`"trace"`), a generated
 /// workload spec (`"workload": "APP:RANKS"`), or a registry reference
-/// (`"trace_digest"` from an earlier `POST /v1/traces`). Inline text goes
-/// through the chunked zero-copy parser; every source is folded into
-/// traffic matrices and stats in the same pass.
-fn decode_trace(state: &AppState, fields: &[(String, Value)]) -> Result<AnalysisInput, Response> {
+/// (`"trace_digest"` from an earlier `POST /v1/traces`). Workload ranks
+/// come from the spec and registered ranks from the metadata record, so
+/// neither decodes the trace; inline text is small and takes its ranks
+/// from the (cached) ingest.
+fn resolve<'a>(state: &AppState, fields: &'a [(String, Value)]) -> Result<Resolved<'a>, Response> {
     let sources = (
         str_field(fields, "trace")?,
         str_field(fields, "workload")?,
         str_field(fields, "trace_digest")?,
     );
-    let input = match sources {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
-            return Err(Response::error(
-                400,
-                "give exactly one of 'trace', 'workload', or 'trace_digest'",
-            ))
-        }
+    match sources {
+        (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => Err(Response::error(
+            400,
+            "give exactly one of 'trace', 'workload', or 'trace_digest'",
+        )),
         (Some(text), None, None) => {
-            let ingest = ingest_trace_bytes(text.as_bytes())
-                .map_err(|e| Response::error(400, &format!("bad trace: {e}")))?;
-            AnalysisInput {
-                ingest,
+            let mut src = Resolved {
+                source: Source::Inline(text),
                 digest: digest_hex(content_digest(text.as_bytes())),
-            }
+                ranks: 0,
+            };
+            src.ranks = src.ingest(state)?.trace.num_ranks;
+            Ok(src)
         }
         (None, Some(spec), None) => {
-            let (trace, canonical) = generate_workload(spec)?;
-            AnalysisInput {
-                ingest: ingest_trace(trace),
-                digest: digest_hex(content_digest(canonical.as_bytes())),
-            }
+            let (app, ranks, canonical) =
+                netloc_workloads::parse_workload_spec(spec).map_err(|e| Response::error(400, &e))?;
+            Ok(Resolved {
+                source: Source::Workload(app, ranks),
+                digest: jobs::workload_digest(&canonical),
+                ranks,
+            })
         }
         (None, None, Some(digest)) => {
             // Read-through: registry memory, then the persistent store.
             // The store verifies the frame; re-deriving the digest from
-            // the payload guards the memory layer the same way.
+            // the payload guards the memory layer the same way. A missing
+            // trace is a 404 even when results for it are still cached.
             let bytes = tiered_get(&state.registry, state.store.as_deref(), Kind::Trace, digest)
                 .map(|(bytes, _)| bytes)
                 .filter(|bytes| digest_hex(content_digest(bytes)) == digest)
                 .ok_or_else(|| unknown_digest(digest))?;
-            let ingest = ingest_trace_bytes(&bytes)
-                .map_err(|e| Response::error(400, &format!("bad registered trace: {e}")))?;
-            AnalysisInput {
-                ingest,
+            let mut src = Resolved {
+                source: Source::Registered(bytes),
                 digest: digest.to_string(),
-            }
+                ranks: 0,
+            };
+            src.ranks = registered_ranks(state, &src)?;
+            Ok(src)
         }
-        (None, None, None) => return Err(Response::error(
+        (None, None, None) => Err(Response::error(
             400,
             "missing trace source: set 'trace' (inline dumpi text), 'workload' (\"APP:RANKS\"), or 'trace_digest'",
         )),
-    };
-    state.traces_ingested.fetch_add(1, Ordering::Relaxed);
-    state
-        .ingest_events
-        .fetch_add(input.ingest.trace.events.len() as u64, Ordering::Relaxed);
-    Ok(input)
+    }
 }
 
-/// `"lulesh:64"` → the deterministic generated trace plus the canonical
-/// spec string (`workload:LULESH:64`) its digest is taken from. Name
-/// resolution and rank bounds live in `netloc_workloads` now, shared
-/// with the job subsystem and the CLI.
-fn generate_workload(spec: &str) -> Result<(Trace, String), Response> {
-    let (app, ranks, canonical) =
-        netloc_workloads::parse_workload_spec(spec).map_err(|e| Response::error(400, &e))?;
-    Ok((
-        netloc_workloads::generate_workload(app, ranks),
-        format!("workload:{canonical}"),
-    ))
+/// The rank count of a registered trace: its metadata record, or — for a
+/// trace registered before records existed, or a record lost to eviction
+/// or quarantine — the ingest, which writes the record back.
+fn registered_ranks(state: &AppState, src: &Resolved<'_>) -> Result<u32, Response> {
+    let record = tiered_get(
+        &state.result_cache,
+        state.store.as_deref(),
+        Kind::Result,
+        &ranks_key(&src.digest),
+    );
+    if let Some(ranks) =
+        record.and_then(|(bytes, _)| std::str::from_utf8(&bytes).ok()?.parse().ok())
+    {
+        return Ok(ranks);
+    }
+    let ranks = src.ingest(state)?.trace.num_ranks;
+    put_ranks_record(state, &src.digest, ranks);
+    Ok(ranks)
 }
 
 fn decode_topology(fields: &[(String, Value)], ranks: u32) -> Result<TopologySpec, Response> {
@@ -628,81 +666,93 @@ pub(crate) fn with_routed<T>(
     Ok(work(&routed))
 }
 
+/// Parse a JSON object body and hand its fields to `handle`.
+fn json_request(
+    body: &[u8],
+    handle: impl FnOnce(&[(String, Value)]) -> Result<Response, Response>,
+) -> Response {
+    parse_json_body(body)
+        .and_then(|value| handle(obj(&value)?))
+        .unwrap_or_else(|resp| resp)
+}
+
+/// Serve `key` from the result tiers — memory, then the digest-verified
+/// store, so a hit returns the exact bytes served last time, across
+/// restarts — or compute, cache and serve it.
+fn cached(
+    state: &AppState,
+    key: &str,
+    compute: impl FnOnce() -> Result<Vec<u8>, Response>,
+) -> Result<Response, Response> {
+    let store = state.store.as_deref();
+    if let Some((bytes, _tier)) = tiered_get(&state.result_cache, store, Kind::Result, key) {
+        return Ok(Response::json(bytes.as_ref().clone()));
+    }
+    let bytes = Arc::new(compute()?);
+    tiered_insert(&state.result_cache, store, Kind::Result, key, &bytes);
+    Ok(Response::json(bytes.as_ref().clone()))
+}
+
+/// The cache-key suffix of a `"windows"` request; requests without it
+/// keep their historical key, so caches survive the upgrade.
+fn windows_key(windows: Option<usize>) -> String {
+    windows.map(|n| format!("|windows:{n}")).unwrap_or_default()
+}
+
+fn spec_error(e: impl std::fmt::Display) -> Response {
+    Response::error(400, &format!("{e}"))
+}
+
 fn analyze(state: &AppState, body: &[u8]) -> Response {
-    let value = match parse_json_body(body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let result = (|| {
-        let fields = obj(&value)?;
-        let input = decode_trace(state, fields)?;
-        let topo_spec = decode_topology(fields, input.ingest.trace.num_ranks)?;
+    json_request(body, |fields| {
+        let src = resolve(state, fields)?;
+        let topo_spec = decode_topology(fields, src.ranks)?;
         let map_spec = decode_mapping(fields)?;
         let windows = decode_windows(fields)?;
-
-        // Content-addressed lookup before any route computation: a hit —
-        // in memory or digest-verified on disk — returns the exact bytes
-        // served last time, across restarts. Requests without 'windows'
-        // keep their historical key, so caches survive the upgrade.
-        let key = match windows {
-            None => format!("analyze|{}|{topo_spec}|{map_spec}", input.digest),
-            Some(n) => format!(
-                "analyze|{}|{topo_spec}|{map_spec}|windows:{n}",
-                input.digest
-            ),
-        };
-        if let Some((bytes, _tier)) = tiered_get(
-            &state.result_cache,
-            state.store.as_deref(),
-            Kind::Result,
-            &key,
-        ) {
-            return Ok(Response::json(bytes.as_ref().clone()));
-        }
-
-        let resp = with_routed(state, &topo_spec, |routed| match windows {
-            None => payload::analyze(
-                &input.ingest.trace,
-                &input.ingest.matrix,
-                input.digest.clone(),
-                &topo_spec,
-                &map_spec,
-                routed,
-            ),
-            Some(n) => payload::analyze_windowed(
-                &input.ingest.trace,
-                &input.ingest.matrix,
-                input.digest.clone(),
-                &topo_spec,
-                &map_spec,
-                routed,
-                n,
-            ),
-        })
-        .map_err(|e| Response::error(400, &format!("{e}")))?
-        .map_err(|e| Response::error(400, &format!("{e}")))?;
-        let bytes = Arc::new(canonical_json(&resp).into_bytes());
-        tiered_insert(
-            &state.result_cache,
-            state.store.as_deref(),
-            Kind::Result,
-            &key,
-            &bytes,
+        let key = format!(
+            "analyze|{}|{topo_spec}|{map_spec}{}",
+            src.digest,
+            windows_key(windows)
         );
-        Ok(Response::json(bytes.as_ref().clone()))
-    })();
-    result.unwrap_or_else(|resp| resp)
+        cached(state, &key, || {
+            let ingest = src.ingest(state)?;
+            let digest = src.digest.clone();
+            let resp = match windows {
+                None => with_routed(state, &topo_spec, |routed| {
+                    payload::analyze(
+                        &ingest.trace,
+                        &ingest.matrix,
+                        digest,
+                        &topo_spec,
+                        &map_spec,
+                        routed,
+                    )
+                }),
+                Some(n) => {
+                    let trace = src.decode()?;
+                    with_routed(state, &topo_spec, |routed| {
+                        payload::analyze_windowed(
+                            &trace,
+                            &ingest.matrix,
+                            digest,
+                            &topo_spec,
+                            &map_spec,
+                            routed,
+                            n,
+                        )
+                    })
+                }
+            };
+            let resp = resp.map_err(spec_error)?.map_err(spec_error)?;
+            Ok(canonical_json(&resp).into_bytes())
+        })
+    })
 }
 
 fn sweep(state: &AppState, body: &[u8]) -> Response {
-    let value = match parse_json_body(body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let result = (|| {
-        let fields = obj(&value)?;
-        // Grid-size admission runs before the (expensive) trace decode:
-        // an oversized grid is bounced in microseconds, whatever else is
+    json_request(body, |fields| {
+        // Grid-size admission runs before the trace is resolved: an
+        // oversized grid is bounced in microseconds, whatever else is
         // wrong with the request.
         if let Some(Value::Array(items)) = field(fields, "mappings") {
             if items.len() > state.config.sweep_cell_cap {
@@ -720,8 +770,8 @@ fn sweep(state: &AppState, body: &[u8]) -> Response {
                 ));
             }
         }
-        let input = decode_trace(state, fields)?;
-        let topo_spec = decode_topology(fields, input.ingest.trace.num_ranks)?;
+        let src = resolve(state, fields)?;
+        let topo_spec = decode_topology(fields, src.ranks)?;
         let map_specs: Vec<MappingSpec> = match field(fields, "mappings") {
             None | Some(Value::Null) => vec![MappingSpec::Consecutive],
             Some(Value::Array(items)) => {
@@ -731,65 +781,57 @@ fn sweep(state: &AppState, body: &[u8]) -> Response {
                 items
                     .iter()
                     .map(|item| match item {
-                        Value::Str(s) => {
-                            s.parse().map_err(|e| Response::error(400, &format!("{e}")))
-                        }
+                        Value::Str(s) => s.parse().map_err(spec_error),
                         _ => Err(Response::error(400, "'mappings' entries must be strings")),
                     })
                     .collect::<Result<_, _>>()?
             }
             Some(_) => return Err(Response::error(400, "'mappings' must be an array")),
         };
+        let ingest = src.ingest(state)?;
         let resp = with_routed(state, &topo_spec, |routed| {
             payload::sweep(
-                &input.ingest.trace,
-                &input.ingest.matrix,
-                input.digest.clone(),
+                &ingest.trace,
+                &ingest.matrix,
+                src.digest.clone(),
                 &topo_spec,
                 &map_specs,
                 routed,
             )
         })
-        .map_err(|e| Response::error(400, &format!("{e}")))?
-        .map_err(|e| Response::error(400, &format!("{e}")))?;
+        .map_err(spec_error)?
+        .map_err(spec_error)?;
         Ok(Response::json(canonical_json(&resp).into_bytes()))
-    })();
-    result.unwrap_or_else(|resp| resp)
+    })
 }
 
 fn stats(state: &AppState, body: &[u8]) -> Response {
-    trace_only(state, body, |ingest, fields| {
-        let base = payload::StatsResponse::from_parts(&ingest.trace, &ingest.stats);
-        Ok(match decode_windows(fields)? {
-            Some(n) => base
-                .with_windows(&netloc_core::windowed_ingest(&ingest.trace, n))
-                .to_value(),
-            None => base.to_value(),
+    json_request(body, |fields| {
+        let src = resolve(state, fields)?;
+        let windows = decode_windows(fields)?;
+        let key = format!("stats|{}{}", src.digest, windows_key(windows));
+        cached(state, &key, || {
+            let ingest = src.ingest(state)?;
+            let base = payload::StatsResponse::from_parts(&ingest.trace, &ingest.stats);
+            let value = match windows {
+                Some(n) => base
+                    .with_windows(&netloc_core::windowed_ingest(&src.decode()?, n))
+                    .to_value(),
+                None => base.to_value(),
+            };
+            Ok(canonical_json(&value).into_bytes())
         })
     })
 }
 
 fn metrics(state: &AppState, body: &[u8]) -> Response {
-    trace_only(state, body, |ingest, _fields| {
-        Ok(payload::MetricsResponse::from_matrix(&ingest.trace, &ingest.p2p).to_value())
+    json_request(body, |fields| {
+        let src = resolve(state, fields)?;
+        cached(state, &format!("metrics|{}", src.digest), || {
+            let ingest = src.ingest(state)?;
+            let value =
+                payload::MetricsResponse::from_matrix(&ingest.trace, &ingest.p2p).to_value();
+            Ok(canonical_json(&value).into_bytes())
+        })
     })
-}
-
-fn trace_only(
-    state: &AppState,
-    body: &[u8],
-    compute: impl FnOnce(&IngestResult, &[(String, Value)]) -> Result<Value, Response>,
-) -> Response {
-    let value = match parse_json_body(body) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let result = (|| {
-        let fields = obj(&value)?;
-        let input = decode_trace(state, fields)?;
-        Ok(Response::json(
-            canonical_json(&compute(&input.ingest, fields)?).into_bytes(),
-        ))
-    })();
-    result.unwrap_or_else(|resp| resp)
 }

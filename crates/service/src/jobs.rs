@@ -38,15 +38,9 @@ use netloc_core::sweep::{GridCell, GridSpec};
 use netloc_core::IngestResult;
 use netloc_topology::{MappingSpec, RoutedTopology, TopologySpec};
 use serde::{Serialize, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Generated-workload ingests kept hot per process; a grid reuses each
-/// workload's trace across its whole topology × mapping plane, so this
-/// tiny cache removes the dominant per-cell cost. Cleared wholesale at
-/// the cap — grids rarely span more workloads than this.
-const INGEST_CACHE_ENTRIES: usize = 16;
 
 /// Deterministic shard selector carried by a fanned-out job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -98,10 +92,19 @@ pub fn job_id(grid: &GridSpec, shard: Option<ShardSpec>) -> String {
 /// which is what makes job cells and interactive requests one shared
 /// durable population.
 pub fn cell_key(cell: &GridCell) -> String {
-    let digest = digest_hex(content_digest(
-        format!("workload:{}", cell.workload).as_bytes(),
-    ));
-    format!("analyze|{digest}|{}|{}", cell.topology, cell.mapping)
+    format!(
+        "analyze|{}|{}|{}",
+        workload_digest(&cell.workload),
+        cell.topology,
+        cell.mapping
+    )
+}
+
+/// The source digest of a generated workload, from its canonical
+/// `APP:RANKS` spelling — the digest interactive `"workload"` requests
+/// and job cells share, in cache keys and in the ingest cache.
+pub fn workload_digest(canonical: &str) -> String {
+    digest_hex(content_digest(format!("workload:{canonical}").as_bytes()))
 }
 
 /// The deterministic error payload of an infeasible cell (e.g. more
@@ -141,13 +144,10 @@ pub fn cell_bytes_routed(
         .mapping
         .parse()
         .expect("grid mappings are canonical and re-parse");
-    let digest = digest_hex(content_digest(
-        format!("workload:{}", cell.workload).as_bytes(),
-    ));
     match payload::analyze(
         &ingest.trace,
         &ingest.matrix,
-        digest,
+        workload_digest(&cell.workload),
         topo_spec,
         &map_spec,
         routed,
@@ -278,7 +278,6 @@ pub struct JobsStats {
 /// Registry and counters for every job this process knows about.
 pub struct JobManager {
     jobs: Mutex<BTreeMap<String, Arc<Job>>>,
-    ingests: Mutex<HashMap<String, Arc<IngestResult>>>,
     submitted: AtomicU64,
     resumed: AtomicU64,
     cells_computed: AtomicU64,
@@ -292,7 +291,6 @@ impl Default for JobManager {
     fn default() -> Self {
         JobManager {
             jobs: Mutex::new(BTreeMap::new()),
-            ingests: Mutex::new(HashMap::new()),
             submitted: AtomicU64::new(0),
             resumed: AtomicU64::new(0),
             cells_computed: AtomicU64::new(0),
@@ -357,30 +355,6 @@ impl JobManager {
             cells_recomputed: self.cells_recomputed.load(Ordering::Relaxed),
             cells_cancelled: self.cells_cancelled.load(Ordering::Relaxed),
         }
-    }
-
-    /// The per-workload ingest cache: generate the synthetic trace once
-    /// per workload per process, share it across every cell that
-    /// replays it.
-    fn ingest_for(&self, workload: &str) -> Result<Arc<IngestResult>, String> {
-        if let Some(hit) = self
-            .ingests
-            .lock()
-            .expect("job ingest lock")
-            .get(workload)
-            .cloned()
-        {
-            return Ok(hit);
-        }
-        let (app, ranks, _canonical) = netloc_workloads::parse_workload_spec(workload)?;
-        let trace = netloc_workloads::generate_workload(app, ranks);
-        let ingest = Arc::new(netloc_core::ingest_trace(trace));
-        let mut map = self.ingests.lock().expect("job ingest lock");
-        if map.len() >= INGEST_CACHE_ENTRIES {
-            map.clear();
-        }
-        map.insert(workload.to_string(), Arc::clone(&ingest));
-        Ok(ingest)
     }
 }
 
@@ -528,7 +502,15 @@ pub fn run_cell(state: &Arc<AppState>, job: &Arc<Job>, pos: usize) {
         job.mark_done(pos);
         return;
     }
-    let bytes = match state.jobs.ingest_for(&cell.workload) {
+    // The workload's trace is folded once, in the ingest cache shared with
+    // interactive requests, however many cells replay it.
+    let ingest =
+        netloc_workloads::parse_workload_spec(&cell.workload).and_then(|(app, ranks, _)| {
+            state.ingest(&workload_digest(&cell.workload), || {
+                Ok(netloc_workloads::generate_workload(app, ranks))
+            })
+        });
+    let bytes = match ingest {
         Ok(ingest) => match cell.topology.parse::<TopologySpec>() {
             Ok(topo_spec) => {
                 match crate::handlers::with_routed(state, &topo_spec, |routed| {

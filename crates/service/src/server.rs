@@ -14,7 +14,7 @@
 //! finish everything already accepted before they see `None` — and join
 //! the workers. In-flight requests always complete.
 
-use crate::cache::{ResultCache, TopoCache};
+use crate::cache::{IngestCache, ResultCache, TopoCache};
 use crate::handlers;
 use crate::http::{
     prepare_stream, read_request_body, read_request_head, Framing, InflightBytes, ReadError,
@@ -24,6 +24,8 @@ use crate::jobs;
 use crate::limit::RateLimiter;
 use crate::queue::JobQueue;
 use crate::store::DiskStore;
+use netloc_core::IngestResult;
+use netloc_mpi::Trace;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,6 +47,9 @@ pub struct ServerConfig {
     pub result_cache_bytes: usize,
     /// In-memory trace-registry capacity in bytes.
     pub registry_cache_bytes: usize,
+    /// Ingest-cache capacity: estimated bytes of slim trace folds kept
+    /// for result-cache misses (see [`crate::cache::IngestCache`]).
+    pub ingest_cache_bytes: usize,
     /// Persistent store directory; `None` runs memory-only (PR 4
     /// behavior).
     pub data_dir: Option<PathBuf>,
@@ -84,6 +89,7 @@ impl Default for ServerConfig {
             max_body_bytes: 8 * 1024 * 1024,
             result_cache_bytes: 64 * 1024 * 1024,
             registry_cache_bytes: 64 * 1024 * 1024,
+            ingest_cache_bytes: 256 * 1024 * 1024,
             data_dir: None,
             rate_limit_per_s: 0.0,
             rate_limit_burst: 32.0,
@@ -124,6 +130,8 @@ pub struct AppState {
     pub result_cache: ResultCache,
     /// In-memory layer of the trace registry (digest → uploaded bytes).
     pub registry: ResultCache,
+    /// Source digest → slim trace fold, shared by requests and job cells.
+    pub ingests: IngestCache,
     /// The persistent store under `--data-dir`, when configured.
     pub store: Option<Arc<DiskStore>>,
     /// Per-client token buckets in front of the queue.
@@ -146,13 +154,40 @@ pub struct AppState {
     pub shed_timeouts: AtomicU64,
     /// Handler panics caught and answered with 500 (the worker survives).
     pub handler_panics: AtomicU64,
-    /// Trace sources decoded through the fused ingest pipeline.
+    /// Real ingests: registrations (which decode and validate the upload)
+    /// plus ingest-cache misses. Cache hits never count, nor does the
+    /// event decode of a windowed result miss.
     pub traces_ingested: AtomicU64,
-    /// Total trace events folded by the ingest pipeline.
+    /// Total events of the traces counted in `traces_ingested`.
     pub ingest_events: AtomicU64,
     /// Set by `POST /v1/shutdown`; the process driving the server polls
     /// this (see [`RunningServer::shutdown_requested`]).
     pub shutdown_requested: AtomicBool,
+}
+
+impl AppState {
+    /// The slim fold of the trace whose source digests to `digest`: from
+    /// the ingest cache, or — once per digest, however many callers race
+    /// for it — by folding the trace `decode` returns, which counts in
+    /// `traces_ingested`.
+    pub(crate) fn ingest<E>(
+        &self,
+        digest: &str,
+        decode: impl FnOnce() -> Result<Trace, E>,
+    ) -> Result<Arc<IngestResult>, E> {
+        self.ingests.get_or_ingest(digest, || {
+            let trace = decode()?;
+            self.count_ingest(&trace);
+            Ok(netloc_core::ingest_trace(trace))
+        })
+    }
+
+    /// Count one full decode of `trace` in the ingest counters.
+    pub(crate) fn count_ingest(&self, trace: &Trace) {
+        self.traces_ingested.fetch_add(1, Ordering::Relaxed);
+        self.ingest_events
+            .fetch_add(trace.events.len() as u64, Ordering::Relaxed);
+    }
 }
 
 /// Constructor namespace for the analysis server.
@@ -180,6 +215,7 @@ impl Server {
             topo_cache: TopoCache::with_store(store.clone()),
             result_cache: ResultCache::new(config.result_cache_bytes),
             registry: ResultCache::new(config.registry_cache_bytes),
+            ingests: IngestCache::new(config.ingest_cache_bytes),
             store,
             limiter: RateLimiter::new(config.rate_limit_per_s, config.rate_limit_burst),
             inflight: InflightBytes::new(config.max_inflight_bytes),

@@ -19,12 +19,17 @@
 //!                 [--windows N]               temporal store-and-forward replay
 //!                                             with a per-window congestion profile
 //! netloc serve    [--addr A] [--workers N] [--cache-mb M] [--queue Q]
+//!                 [--body-mb M] [--registry-mb M] [--ingest-mb M]
 //!                 [--data-dir DIR] [--rate-limit N] [--rate-burst B]
 //!                 [--inflight-mb M] [--deadline-s S] [--sweep-cap N]
 //!                 [--job-cap N]               the netloc-service analysis server
 //!                                             (--data-dir persists caches across
 //!                                             restarts; --rate-limit N conns/s
-//!                                             per client)
+//!                                             per client; --body-mb caps one
+//!                                             request body, --registry-mb the
+//!                                             in-memory trace registry,
+//!                                             --ingest-mb the folded traces
+//!                                             kept for cache misses)
 //! netloc sweep    --topology SPEC [--topology SPEC…] --workload APP:RANKS
 //!                 [--workload …] [--mapping MAP…] [--seed N]
 //!                 [--csv FILE] [--svg FILE]
@@ -580,8 +585,18 @@ fn serve_cmd(args: &[String]) {
     if let Some(q) = numeric("--queue") {
         cfg.queue_capacity = q.clamp(1, 65_536);
     }
-    if let Some(mb) = numeric("--cache-mb") {
-        cfg.result_cache_bytes = mb.clamp(1, 16_384) * 1024 * 1024;
+    let mib = |name: &str| numeric(name).map(|mb| mb.clamp(1, 16_384) * 1024 * 1024);
+    if let Some(bytes) = mib("--cache-mb") {
+        cfg.result_cache_bytes = bytes;
+    }
+    if let Some(bytes) = mib("--body-mb") {
+        cfg.max_body_bytes = bytes;
+    }
+    if let Some(bytes) = mib("--registry-mb") {
+        cfg.registry_cache_bytes = bytes;
+    }
+    if let Some(bytes) = mib("--ingest-mb") {
+        cfg.ingest_cache_bytes = bytes;
     }
     if let Some(dir) = flag_value(args, "--data-dir") {
         cfg.data_dir = Some(std::path::PathBuf::from(dir));
@@ -592,8 +607,8 @@ fn serve_cmd(args: &[String]) {
     if let Some(burst) = numeric("--rate-burst") {
         cfg.rate_limit_burst = (burst.max(1)) as f64;
     }
-    if let Some(mb) = numeric("--inflight-mb") {
-        cfg.max_inflight_bytes = mb.clamp(1, 16_384) * 1024 * 1024;
+    if let Some(bytes) = mib("--inflight-mb") {
+        cfg.max_inflight_bytes = bytes;
     }
     if let Some(s) = numeric("--deadline-s") {
         cfg.progress_deadline = std::time::Duration::from_secs(s as u64);

@@ -556,3 +556,277 @@ fn shutdown_endpoint_flags_the_server_loop() {
     );
     server.shutdown();
 }
+
+fn statusz_counter(addr: std::net::SocketAddr, path: &[&str]) -> u64 {
+    let resp = client::get(addr, "/v1/statusz").unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    json_counter(resp.body_str(), path)
+}
+
+/// Register `text` via `POST /v1/traces`; returns its digest.
+fn register(addr: std::net::SocketAddr, text: &str) -> String {
+    let reg = client::post(addr, "/v1/traces", text).unwrap();
+    assert_eq!(reg.status, 200, "{}", reg.body_str());
+    digest_hex(content_digest(text.as_bytes()))
+}
+
+/// A trace with a collective on a sub-communicator, so its stats report
+/// `global_only: false` — the one stats field that reads events.
+fn sub_comm_trace_text(app: &str) -> String {
+    let mut b = TraceBuilder::new(app, 27).exec_time_s(2.0);
+    for r in 0..27u32 {
+        b.send(Rank(r), Rank((r + 9) % 27), 2048, 3);
+    }
+    let half = b.register_comm((14..27).map(Rank).collect());
+    b.collective_on(
+        CollectiveOp::Allreduce,
+        half,
+        None,
+        Payload::Uniform(512),
+        2,
+    );
+    b.collective(CollectiveOp::Barrier, None, Payload::Uniform(0), 1);
+    write_trace(&b.build())
+}
+
+#[test]
+fn digest_hits_answer_without_re_ingesting() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let text = sub_comm_trace_text("slim-stats");
+    let digest = register(addr, &text);
+    let requests = [
+        (
+            "/v1/analyze",
+            format!("{{\"trace_digest\": \"{digest}\", \"topology\": \"auto\"}}"),
+        ),
+        ("/v1/stats", format!("{{\"trace_digest\": \"{digest}\"}}")),
+        ("/v1/metrics", format!("{{\"trace_digest\": \"{digest}\"}}")),
+    ];
+    let first: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|(path, body)| {
+            let resp = client::post(addr, path, body).unwrap();
+            assert_eq!(resp.status, 200, "{path}: {}", resp.body_str());
+            resp.body
+        })
+        .collect();
+    // The registration decoded the trace; the first miss folded it once,
+    // and the other two endpoints shared that fold.
+    assert_eq!(statusz_counter(addr, &["traces_ingested"]), 2);
+    assert_eq!(statusz_counter(addr, &["ingest_cache", "misses"]), 1);
+
+    // The trace-only bodies equal the full-trace library calls, even
+    // though the ingest cache keeps no events.
+    let trace = parse_trace(&text).unwrap();
+    assert_eq!(
+        first[1],
+        canonical_json(&netloc::service::payload::StatsResponse::from_trace(&trace)).into_bytes()
+    );
+    assert!(String::from_utf8_lossy(&first[1]).contains("\"global_only\": false"));
+    assert_eq!(
+        first[2],
+        canonical_json(&netloc::service::payload::MetricsResponse::from_trace(
+            &trace
+        ))
+        .into_bytes()
+    );
+
+    for _ in 0..3 {
+        for ((path, body), want) in requests.iter().zip(&first) {
+            let resp = client::post(addr, path, body).unwrap();
+            assert_eq!(resp.status, 200, "{path}: {}", resp.body_str());
+            assert_eq!(&resp.body, want, "{path} hit diverged");
+        }
+    }
+    assert_eq!(
+        statusz_counter(addr, &["traces_ingested"]),
+        2,
+        "result-cache hits must not ingest"
+    );
+    assert_eq!(statusz_counter(addr, &["ingest_cache", "entries"]), 1);
+
+    // A sweep after the analyze reuses the same fold.
+    let sweep = client::post(
+        addr,
+        "/v1/sweep",
+        &format!(
+            "{{\"trace_digest\": \"{digest}\", \"topology\": \"auto\", \"mappings\": [\"consecutive\", \"random:2\"]}}"
+        ),
+    )
+    .unwrap();
+    assert_eq!(sweep.status, 200, "{}", sweep.body_str());
+    assert_eq!(statusz_counter(addr, &["traces_ingested"]), 2);
+    server.shutdown();
+}
+
+#[test]
+fn restarted_auto_topology_hit_by_digest_ingests_nothing() {
+    let dir = tmpdir("digest-restart");
+    let config = || ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..test_config()
+    };
+    let text = sample_trace_text();
+    let server = start(config());
+    let digest = register(server.addr(), &text);
+    let body = format!("{{\"trace_digest\": \"{digest}\", \"topology\": \"auto\"}}");
+    let first = client::post(server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body_str());
+    server.shutdown();
+
+    // The result sits under the historical key, `auto` resolved, so data
+    // dirs written before key-first lookups keep hitting.
+    let auto: TopologySpec = "auto".parse().unwrap();
+    let key = format!("analyze|{digest}|{}|consecutive", auto.resolve(27));
+    let store = netloc::service::DiskStore::open(&dir).unwrap();
+    assert!(
+        store.contains(netloc::service::store::Kind::Result, &key),
+        "{key}"
+    );
+    drop(store);
+
+    let server = start(config());
+    let addr = server.addr();
+    let second = client::post(addr, "/v1/analyze", &body).unwrap();
+    assert_eq!(second.status, 200, "{}", second.body_str());
+    assert_eq!(second.body, first.body, "disk hit must be byte-identical");
+    assert_eq!(
+        statusz_counter(addr, &["traces_ingested"]),
+        0,
+        "'auto' must resolve from the metadata record, not an ingest"
+    );
+    assert_eq!(statusz_counter(addr, &["ingest_cache", "misses"]), 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn evicted_registry_entry_is_404_even_with_cached_results() {
+    let (a, b) = (sample_trace_text(), sub_comm_trace_text("other"));
+    // Room for either trace, never both: registering the second evicts
+    // the first.
+    let server = start(ServerConfig {
+        registry_cache_bytes: a.len().max(b.len()) + 16,
+        ..test_config()
+    });
+    let addr = server.addr();
+    let digest_a = register(addr, &a);
+    let body_a = format!("{{\"trace_digest\": \"{digest_a}\", \"topology\": \"torus:3,3,3\"}}");
+    let cached = client::post(addr, "/v1/analyze", &body_a).unwrap();
+    assert_eq!(cached.status, 200, "{}", cached.body_str());
+
+    let digest_b = register(addr, &b);
+    assert_eq!(statusz_counter(addr, &["registry", "entries"]), 1);
+    let gone = client::post(addr, "/v1/analyze", &body_a).unwrap();
+    assert_eq!(gone.status, 404, "{}", gone.body_str());
+    assert!(
+        gone.body_str().contains("\"code\": \"unknown_digest\""),
+        "{}",
+        gone.body_str()
+    );
+    let live = client::post(
+        addr,
+        "/v1/stats",
+        &format!("{{\"trace_digest\": \"{digest_b}\"}}"),
+    )
+    .unwrap();
+    assert_eq!(live.status, 200, "{}", live.body_str());
+    server.shutdown();
+}
+
+#[test]
+fn concurrent_cold_requests_for_one_digest_ingest_once() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let digest = register(addr, &sample_trace_text());
+    let before = statusz_counter(addr, &["traces_ingested"]);
+    // Eight distinct result keys: every request misses the result cache
+    // and needs the fold at the same moment.
+    let handles: Vec<_> = ["torus:3,3,3", "mesh:3,3,3", "torus:4,4,4", "mesh:4,4,4"]
+        .iter()
+        .flat_map(|topo| ["consecutive", "random:1"].map(|map| (*topo, map)))
+        .map(|(topo, map)| {
+            let body = format!(
+                "{{\"trace_digest\": \"{digest}\", \"topology\": \"{topo}\", \"mapping\": \"{map}\"}}"
+            );
+            std::thread::spawn(move || client::post(addr, "/v1/analyze", &body).unwrap())
+        })
+        .collect();
+    for h in handles {
+        let resp = h.join().unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+    }
+    assert_eq!(
+        statusz_counter(addr, &["traces_ingested"]) - before,
+        1,
+        "one fold per digest, however many requests race for it"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn windowed_bodies_match_a_fresh_server() {
+    let text = sub_comm_trace_text("windowed");
+    let requests = |digest: &str| {
+        [
+            (
+                "/v1/analyze",
+                format!(
+                    "{{\"trace_digest\": \"{digest}\", \"topology\": \"torus:3,3,3\", \"windows\": 4}}"
+                ),
+            ),
+            (
+                "/v1/stats",
+                format!("{{\"trace_digest\": \"{digest}\", \"windows\": 3}}"),
+            ),
+        ]
+    };
+
+    // Warm server: the slim fold is cached before the windowed requests,
+    // which then decode their events from the registered bytes.
+    let warm = start(test_config());
+    let digest = register(warm.addr(), &text);
+    let plain = client::post(
+        warm.addr(),
+        "/v1/metrics",
+        &format!("{{\"trace_digest\": \"{digest}\"}}"),
+    )
+    .unwrap();
+    assert_eq!(plain.status, 200, "{}", plain.body_str());
+    let warm_bodies: Vec<Vec<u8>> = requests(&digest)
+        .iter()
+        .map(|(path, body)| client::post(warm.addr(), path, body).unwrap().body)
+        .collect();
+    warm.shutdown();
+
+    // Both equal the payloads computed from the full trace.
+    let trace = parse_trace(&text).unwrap();
+    let spec: TopologySpec = "torus:3,3,3".parse().unwrap();
+    let topo = spec.build().unwrap();
+    let routed = RoutedTopology::auto(topo.as_ref());
+    let direct = netloc::service::payload::analyze_windowed(
+        &trace,
+        &TrafficMatrix::from_trace_full(&trace),
+        digest.clone(),
+        &spec,
+        &MappingSpec::Consecutive,
+        &routed,
+        4,
+    )
+    .unwrap();
+    assert_eq!(warm_bodies[0], canonical_json(&direct).into_bytes());
+    let stats = netloc::service::payload::StatsResponse::from_trace(&trace)
+        .with_windows(&netloc::core::windowed_ingest(&trace, 3));
+    assert_eq!(warm_bodies[1], canonical_json(&stats).into_bytes());
+
+    let fresh = start(test_config());
+    register(fresh.addr(), &text);
+    for ((path, body), want) in requests(&digest).iter().zip(&warm_bodies) {
+        let resp = client::post(fresh.addr(), path, body).unwrap();
+        assert_eq!(resp.status, 200, "{path}: {}", resp.body_str());
+        assert!(resp.body_str().contains("\"windows\": ["), "{path}");
+        assert_eq!(&resp.body, want, "{path}: windowed body diverged");
+    }
+    fresh.shutdown();
+}

@@ -325,6 +325,11 @@ fn deterministic_retries_ride_out_backpressure() {
 /// Spawn the real `netloc serve` binary on an ephemeral port with a data
 /// dir and return (child, addr) once it reports its listening address.
 fn spawn_serve(dir: &Path) -> (std::process::Child, std::net::SocketAddr) {
+    spawn_serve_with(dir, &[])
+}
+
+/// [`spawn_serve`] with extra command-line flags.
+fn spawn_serve_with(dir: &Path, flags: &[&str]) -> (std::process::Child, std::net::SocketAddr) {
     use std::io::BufRead;
     let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_netloc"))
         .args([
@@ -336,6 +341,7 @@ fn spawn_serve(dir: &Path) -> (std::process::Child, std::net::SocketAddr) {
             "--data-dir",
         ])
         .arg(dir)
+        .args(flags)
         .stderr(std::process::Stdio::piped())
         .stdout(std::process::Stdio::null())
         .spawn()
@@ -447,6 +453,45 @@ fn sigkill_and_restart_keep_registered_traces_resolvable() {
         resp.body_str()
     );
     assert!(resp.body_str().contains(&digest));
+    child.kill().expect("cleanup kill");
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every cache and body limit is settable from the command line, and
+/// `/v1/statusz` reports what was set.
+#[test]
+#[cfg(unix)]
+fn serve_flags_set_the_cache_and_body_limits() {
+    let dir = tmpdir("limit-flags");
+    let (mut child, addr) = spawn_serve_with(
+        &dir,
+        &[
+            "--body-mb",
+            "1",
+            "--registry-mb",
+            "2",
+            "--ingest-mb",
+            "3",
+            "--cache-mb",
+            "4",
+        ],
+    );
+    let statusz = client::get(addr, "/v1/statusz").unwrap();
+    let s = statusz.body_str();
+    let mib = 1024 * 1024;
+    for (block, mb) in [("registry", 2), ("ingest_cache", 3), ("result_cache", 4)] {
+        let needle = format!("\"{block}\": {{");
+        let start = s.find(&needle).unwrap_or_else(|| panic!("no {block}: {s}"));
+        let end = start + s[start..].find('}').expect("block closes");
+        assert!(
+            s[start..end].contains(&format!("\"capacity_bytes\": {}", mb * mib)),
+            "{block} capacity: {s}"
+        );
+    }
+    let oversized = "x".repeat(mib + 1);
+    let resp = client::post(addr, "/v1/traces", &oversized).unwrap();
+    assert_eq!(resp.status, 413, "--body-mb 1 must bound bodies");
     child.kill().expect("cleanup kill");
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);

@@ -481,3 +481,47 @@ fn sigkill_mid_job_resumes_without_recomputing_durable_cells() {
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A job cell and an interactive `"workload"` analyze of the same
+/// workload share one ingest through the server's single ingest cache.
+#[test]
+fn job_cells_and_interactive_workloads_share_one_ingest() {
+    let server = start(test_config());
+    let addr = server.addr();
+    let interactive = client::post(
+        addr,
+        "/v1/analyze",
+        "{\"workload\": \"lulesh:27\", \"topology\": \"torus:3,3,3\"}",
+    )
+    .unwrap();
+    assert_eq!(interactive.status, 200, "{}", interactive.body_str());
+    assert_eq!(statusz_counter(addr, &["traces_ingested"]), 1);
+
+    let submit = client::post(
+        addr,
+        "/v1/jobs",
+        "{\"topologies\": [\"mesh:3,3,3\"], \"mappings\": [\"consecutive\", \"random:3\"], \
+         \"workloads\": [\"lulesh:27\"]}",
+    )
+    .unwrap();
+    assert_eq!(submit.status, 200, "{}", submit.body_str());
+    let id = json_str_field(submit.body_str(), "id");
+    assert!(
+        wait_until(Duration::from_secs(60), || {
+            let resp = client::get(addr, &format!("/v1/jobs/{id}")).unwrap();
+            json_str_field(resp.body_str(), "status") == "complete"
+        }),
+        "job did not complete"
+    );
+    // A progress poll may re-enqueue a cell that is still computing, so
+    // a cell can be computed twice; either way from the one fold.
+    assert!(statusz_counter(addr, &["jobs", "cells_computed"]) >= 2);
+    assert_eq!(
+        statusz_counter(addr, &["traces_ingested"]),
+        1,
+        "the job must reuse the interactive request's fold"
+    );
+    assert_eq!(statusz_counter(addr, &["ingest_cache", "entries"]), 1);
+    assert!(statusz_counter(addr, &["ingest_cache", "hits"]) >= 2);
+    server.shutdown();
+}

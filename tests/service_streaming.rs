@@ -81,7 +81,8 @@ fn chunked_columnar_upload_matches_whole_body_upload() {
     );
 
     // Observability: both uploads counted, each with the full event count
-    // (checked before the analyze below, which re-ingests by digest).
+    // (checked before the analyze below, whose ingest-cache miss folds the
+    // trace once more).
     let statusz = client::get(addr, "/v1/statusz").unwrap();
     let s = statusz.body_str();
     let events = trace.events.len() as u64;
