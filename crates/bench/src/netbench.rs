@@ -7,7 +7,7 @@
 //! | config          | topology               | nodes  | route storage |
 //! |-----------------|------------------------|--------|---------------|
 //! | `torus-1728`    | `Torus3D [12,12,12]`   | 1 728  | dense CSR     |
-//! | `fat-tree-2592` | `FatTree::new(48, 3)`  | 13 824 | lazy rows     |
+//! | `fat-tree-2592` | `FatTree::new(48, 3)`  | 13 824 | compressed    |
 //! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | dense CSR     |
 //!
 //! Each config replays an all-to-all matrix (the paper's BigFFT-style
@@ -28,9 +28,9 @@
 //! seeded random-pairs workload. Every scale cell asserts the auto picker
 //! chose compressed storage, verifies sampled routes byte-identical to
 //! direct routing, and demands a ≥10× size reduction over the flat
-//! projection. The smoke run keeps one mid-size Slim Fly cell plus a tiny
-//! twin on which compressed, dense and lazy-compressed replays are
-//! compared exhaustively.
+//! projection. The smoke run keeps one mid-size Slim Fly cell plus tiny
+//! Slim Fly and fat-tree twins on which compressed, dense and
+//! lazy-compressed routes are compared with direct routing exhaustively.
 //!
 //! Results are written to `BENCH_netmodel.json`
 //! (`schema_version`-tagged; see [`validate_json`]). `--smoke` swaps in
@@ -327,9 +327,9 @@ const SCALE_VERIFY_PAIRS: usize = 4096;
 ///    projection of the same routes,
 /// 4. times the replay of a seeded random-pairs workload.
 ///
-/// In smoke mode a tiny Slim Fly twin additionally compares compressed,
-/// dense and lazy-compressed storage on *all* pairs, so CI pins the
-/// equivalence the big cells can only sample.
+/// In smoke mode tiny Slim Fly and fat-tree twins additionally compare
+/// compressed, dense and lazy-compressed storage with direct routing on
+/// *all* pairs, so CI pins the equivalence the big cells can only sample.
 pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
     let iters = if smoke { 1 } else { FULL_ITERS };
     let mut rows = Vec::new();
@@ -415,29 +415,36 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
     }
 
     if smoke {
-        // Tiny twin: the smoke cell above can only sample; this machine is
-        // small enough to compare compressed, dense and lazy-compressed
-        // storage on every ordered pair.
-        let twin = netloc_topology::SlimFly::new(5, 2);
-        let dense = RoutedTopology::dense(&twin);
-        let modes = [
-            ("compressed", RoutedTopology::compressed(&twin)),
-            ("lazy-compressed", RoutedTopology::lazy_compressed(&twin)),
+        // Tiny twins: the smoke cell above can only sample; these machines
+        // are small enough to compare every storage (the dense table is
+        // expanded from the same cores) with direct routing on every
+        // ordered pair.
+        let twins: [(&str, Box<dyn Topology>); 2] = [
+            ("slimfly:5,2", Box::new(netloc_topology::SlimFly::new(5, 2))),
+            ("fattree:8,3", Box::new(FatTree::new(8, 3))),
         ];
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for s in 0..twin.num_nodes() as u32 {
-            for d in 0..twin.num_nodes() as u32 {
-                let want = dense.route_of(NodeId(s), NodeId(d), &mut a);
-                for (label, routed) in &modes {
-                    assert_eq!(
-                        routed.route_of(NodeId(s), NodeId(d), &mut b),
-                        want,
-                        "twin slimfly:5,2 {label} route diverges at {s}->{d}"
-                    );
+        for (name, twin) in &twins {
+            let twin = twin.as_ref();
+            let modes = [
+                ("dense", RoutedTopology::dense(twin)),
+                ("compressed", RoutedTopology::compressed(twin)),
+                ("lazy-compressed", RoutedTopology::lazy_compressed(twin)),
+            ];
+            let mut buf = Vec::new();
+            for s in 0..twin.num_nodes() as u32 {
+                for d in 0..twin.num_nodes() as u32 {
+                    let want = twin.route(NodeId(s), NodeId(d));
+                    for (label, routed) in &modes {
+                        assert_eq!(
+                            routed.route_of(NodeId(s), NodeId(d), &mut buf),
+                            &want[..],
+                            "twin {name} {label} route diverges at {s}->{d}"
+                        );
+                    }
                 }
             }
+            println!("[scale] twin {name:<17} compressed == lazy-compressed == dense == direct on all pairs");
         }
-        println!("[scale] twin slimfly:5,2        compressed == dense on all pairs");
     }
     rows
 }

@@ -3,6 +3,7 @@
 use crate::fxhash::FxHashMap;
 use crate::netmodel::PACKET_PAYLOAD;
 use netloc_mpi::{translate_collective, Event, Trace};
+use netloc_topology::optimize::TrafficEntry;
 use std::sync::OnceLock;
 
 /// Aggregated traffic between one ordered rank pair.
@@ -186,22 +187,54 @@ impl TrafficMatrix {
     }
 
     /// Symmetrized undirected volume per unordered pair (used by the
-    /// mapping optimizer).
-    pub fn undirected_entries(&self) -> Vec<netloc_topology::optimize::TrafficEntry> {
-        let mut acc: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-        for (&(s, d), p) in &self.pairs {
-            let key = if s <= d { (s, d) } else { (d, s) };
-            *acc.entry(key).or_default() += p.bytes;
+    /// mapping optimizer), sorted by `(src, dst)` with `src <= dst`. Pairs
+    /// that carried only zero-byte messages are kept with `bytes: 0`.
+    ///
+    /// One merge over [`TrafficMatrix::sorted_pairs`]: its upper-triangle
+    /// pairs (`src < dst`) are already in order; the lower ones, flipped,
+    /// are put in order by a counting sort on their new `src` (stable, and
+    /// they arrive sorted by their new `dst`); a pair seen in both
+    /// directions is summed.
+    pub fn undirected_entries(&self) -> Vec<TrafficEntry> {
+        let sorted = self.sorted_pairs();
+        let mut start = vec![0usize; self.num_ranks as usize + 1];
+        for &((s, d), _) in sorted {
+            if s > d {
+                start[d as usize + 1] += 1;
+            }
         }
-        let mut v: Vec<_> = acc
-            .into_iter()
-            .map(|((s, d), bytes)| netloc_topology::optimize::TrafficEntry {
-                src: s as usize,
-                dst: d as usize,
-                bytes,
-            })
-            .collect();
-        v.sort_unstable_by_key(|e| (e.src, e.dst));
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let lower_len = start[start.len() - 1];
+        let mut lower = vec![((0, 0), 0); lower_len];
+        for &((s, d), p) in sorted {
+            if s > d {
+                lower[start[d as usize]] = ((d, s), p.bytes);
+                start[d as usize] += 1;
+            }
+        }
+        let entry = |(s, d): (u32, u32), bytes| TrafficEntry {
+            src: s as usize,
+            dst: d as usize,
+            bytes,
+        };
+        // Exact for symmetric or one-directional traffic; grows at most once.
+        let mut v = Vec::with_capacity(lower_len.max(sorted.len() - lower_len));
+        let mut j = 0;
+        for &(key, p) in sorted.iter().filter(|((s, d), _)| s < d) {
+            while j < lower_len && lower[j].0 < key {
+                v.push(entry(lower[j].0, lower[j].1));
+                j += 1;
+            }
+            let mut bytes = p.bytes;
+            if j < lower_len && lower[j].0 == key {
+                bytes += lower[j].1;
+                j += 1;
+            }
+            v.push(entry(key, bytes));
+        }
+        v.extend(lower[j..].iter().map(|&(key, bytes)| entry(key, bytes)));
         v
     }
 }
@@ -284,6 +317,54 @@ mod tests {
         assert_eq!(und[0].dst, 1);
         assert_eq!(und[0].bytes, 140);
         assert_eq!(und[1].bytes, 7);
+    }
+
+    /// Reference symmetrization: a hash map over unordered pairs, sorted.
+    fn undirected_hashed(tm: &TrafficMatrix) -> Vec<TrafficEntry> {
+        let mut acc: FxHashMap<(u32, u32), u64> = FxHashMap::default();
+        for (&(s, d), p) in &tm.pairs {
+            *acc.entry((s.min(d), s.max(d))).or_default() += p.bytes;
+        }
+        let mut v: Vec<_> = acc
+            .into_iter()
+            .map(|((s, d), bytes)| TrafficEntry {
+                src: s as usize,
+                dst: d as usize,
+                bytes,
+            })
+            .collect();
+        v.sort_unstable_by_key(|e| (e.src, e.dst));
+        v
+    }
+
+    #[test]
+    fn undirected_entries_keep_zero_byte_and_one_way_pairs() {
+        let mut tm = TrafficMatrix::new(70);
+        tm.record(0, 1, 100, 1);
+        tm.record(1, 0, 40, 1);
+        tm.record(69, 3, 0, 2); // zero-byte, one-directional
+        tm.record(5, 64, 9, 1); // one-directional, upper triangle only
+        tm.record(64, 63, 0, 1);
+        tm.record(63, 64, 11, 1);
+        let und = tm.undirected_entries();
+        assert_eq!(und, undirected_hashed(&tm));
+        let got: Vec<_> = und.iter().map(|e| (e.src, e.dst, e.bytes)).collect();
+        assert_eq!(got, vec![(0, 1, 140), (3, 69, 0), (5, 64, 9), (63, 64, 11)]);
+        assert!(TrafficMatrix::new(0).undirected_entries().is_empty());
+    }
+
+    #[test]
+    fn undirected_entries_match_hash_reference_on_dense_traffic() {
+        let mut tm = TrafficMatrix::new(40);
+        for s in 0..40u32 {
+            for d in 0..40u32 {
+                // Skip some pairs in one direction only, zero-size others.
+                if (s * 7 + d * 3) % 5 != 0 {
+                    tm.record(s, d, u64::from((s * 31 + d * 17) % 4), 1);
+                }
+            }
+        }
+        assert_eq!(tm.undirected_entries(), undirected_hashed(&tm));
     }
 
     #[test]

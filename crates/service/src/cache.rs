@@ -7,11 +7,14 @@
 //! concurrent requests name the same topology, exactly one thread builds
 //! the table (the expensive part of a replay, per PR 3) and the other
 //! seven block on the lock and then share the finished `Arc`. The storage
-//! plan mirrors `RoutedTopology::auto`: machines within
+//! plan is `RoutedTopology::auto`'s own ([`plan_storage`]): machines within
 //! [`DENSE_PAIR_LIMIT`] ordered pairs get a flat CSR; larger
 //! router-symmetric machines within [`COMPRESSED_PAIR_LIMIT`] ordered
 //! *router* pairs get a compressed per-router table; everything else is
 //! never cached — the caller falls back to per-request lazy rows.
+//!
+//! [`DENSE_PAIR_LIMIT`]: netloc_topology::routetable::DENSE_PAIR_LIMIT
+//! [`COMPRESSED_PAIR_LIMIT`]: netloc_topology::routetable::COMPRESSED_PAIR_LIMIT
 //!
 //! **Level 2 — [`ResultCache`]:** content-addressed response bytes. The key
 //! is the canonical string `digest(trace)|topology|mapping` (specs in their
@@ -39,8 +42,8 @@
 use crate::store::{DiskStore, Kind};
 use netloc_core::canon::content_digest;
 use netloc_core::{IngestResult, PairTraffic};
-use netloc_topology::routetable::{COMPRESSED_PAIR_LIMIT, DENSE_PAIR_LIMIT};
-use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, SymmetryHint, Topology};
+use netloc_topology::routetable::{plan_storage, StoragePlan};
+use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, Topology};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,10 +56,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// stores either.
 #[derive(Clone)]
 pub enum SharedRoutes {
-    /// Flat all-pairs CSR (machines within [`DENSE_PAIR_LIMIT`]).
+    /// Flat all-pairs CSR (machines [`plan_storage`] plans dense).
     Flat(Arc<RouteTable>),
     /// Compressed per-router-pair core table (router-symmetric machines
-    /// within [`COMPRESSED_PAIR_LIMIT`] router pairs).
+    /// [`plan_storage`] plans compressed).
     Compressed(Arc<CompressedRouteTable>),
 }
 
@@ -97,33 +100,6 @@ impl SharedRoutes {
     }
 }
 
-/// Which representation [`TopoCache`] plans for a machine, mirroring the
-/// `RoutedTopology::auto` heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Plan {
-    Flat,
-    Compressed,
-}
-
-fn plan_for(topo: &dyn Topology) -> Option<Plan> {
-    let n = topo.num_nodes();
-    if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
-        return Some(Plan::Flat);
-    }
-    if let Some(SymmetryHint::RouterSymmetric {
-        nodes_per_router: p,
-    }) = topo.symmetry_hint()
-    {
-        if p > 0 && n.is_multiple_of(p) {
-            let routers = n / p;
-            if routers.saturating_mul(routers) <= COMPRESSED_PAIR_LIMIT {
-                return Some(Plan::Compressed);
-            }
-        }
-    }
-    None
-}
-
 /// Level-1 cache: canonical topology spec → shared route storage,
 /// optionally persisted to a [`DiskStore`].
 #[derive(Default)]
@@ -150,7 +126,10 @@ impl TopoCache {
     /// representation; those run with per-request lazy rows instead.
     pub fn shared_routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<SharedRoutes> {
         let n = topo.num_nodes();
-        let plan = plan_for(topo)?;
+        let plan = plan_storage(topo);
+        if !matches!(plan, StoragePlan::Dense | StoragePlan::Compressed) {
+            return None;
+        }
         let cell = {
             let mut cells = self.cells.lock().expect("topo cache lock");
             Arc::clone(
@@ -168,8 +147,8 @@ impl TopoCache {
                     if let Ok(routes) = SharedRoutes::from_bytes(&bytes) {
                         let matches_plan = matches!(
                             (&routes, plan),
-                            (SharedRoutes::Flat(_), Plan::Flat)
-                                | (SharedRoutes::Compressed(_), Plan::Compressed)
+                            (SharedRoutes::Flat(_), StoragePlan::Dense)
+                                | (SharedRoutes::Compressed(_), StoragePlan::Compressed)
                         );
                         if matches_plan && routes.num_nodes() == n {
                             self.from_disk.fetch_add(1, Ordering::Relaxed);
@@ -179,11 +158,10 @@ impl TopoCache {
                 }
             }
             self.builds.fetch_add(1, Ordering::Relaxed);
-            let routes = match plan {
-                Plan::Flat => SharedRoutes::Flat(Arc::new(RouteTable::build(topo))),
-                Plan::Compressed => {
-                    SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
-                }
+            let routes = if plan == StoragePlan::Dense {
+                SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))
+            } else {
+                SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
             };
             if let Some(store) = &self.store {
                 store.put(Kind::Table, canonical_spec, &routes.to_bytes());

@@ -18,7 +18,7 @@ use netloc_core::canon::{canonical_json, content_digest, digest_hex};
 use netloc_core::sweep::GridSpec;
 use netloc_core::IngestResult;
 use netloc_mpi::Trace;
-use netloc_topology::{MappingSpec, RoutedTopology, SymmetryHint, TopologySpec};
+use netloc_topology::{MappingSpec, RoutedTopology, TopologySpec};
 use serde::{Serialize, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -651,17 +651,9 @@ pub(crate) fn with_routed<T>(
     let canonical = topo_spec.to_string();
     let routed = match state.topo_cache.shared_routes(&canonical, topo.as_ref()) {
         Some(routes) => routes.routed(topo.as_ref()),
-        // Past both cache limits: lazy per-router core rows when the
-        // machine is router-symmetric, lazy flat rows otherwise (the same
-        // tail as `RoutedTopology::auto`).
-        None => match topo.symmetry_hint() {
-            Some(SymmetryHint::RouterSymmetric {
-                nodes_per_router: p,
-            }) if p > 0 && topo.num_nodes() % p == 0 => {
-                RoutedTopology::lazy_compressed(topo.as_ref())
-            }
-            _ => RoutedTopology::lazy(topo.as_ref()),
-        },
+        // Past both cache limits, `auto` plans lazy rows: per-router core
+        // rows when the machine is router-symmetric, flat rows otherwise.
+        None => RoutedTopology::auto(topo.as_ref()),
     };
     Ok(work(&routed))
 }

@@ -13,6 +13,7 @@ use netloc_core::{
     analyze_network_routed, NetworkReport, TrafficMatrix, WindowMetrics, WindowedMetrics,
 };
 use netloc_mpi::{Trace, TraceStats};
+use netloc_topology::optimize::TrafficEntry;
 use netloc_topology::{MappingSpec, RoutedTopology, SpecError, TopologySpec};
 use serde::Serialize;
 
@@ -136,6 +137,17 @@ impl AnalyzeResponse {
     }
 }
 
+/// `tm`'s undirected entries when any of `map_specs` reads traffic
+/// ([`MappingSpec::needs_traffic`]), else nothing — symmetrizing a large
+/// matrix is not free.
+fn undirected_if_needed(tm: &TrafficMatrix, map_specs: &[MappingSpec]) -> Vec<TrafficEntry> {
+    if map_specs.iter().any(MappingSpec::needs_traffic) {
+        tm.undirected_entries()
+    } else {
+        Vec::new()
+    }
+}
+
 /// Replay `trace` on `routed` (built from the already-resolved
 /// `topo_spec`) under `map_spec`, producing the response payload.
 ///
@@ -155,7 +167,8 @@ pub fn analyze(
     routed: &RoutedTopology<'_>,
 ) -> Result<AnalyzeResponse, SpecError> {
     let ranks = trace.num_ranks as usize;
-    let mapping = map_spec.build_with_traffic(ranks, routed, &tm.undirected_entries())?;
+    let undirected = undirected_if_needed(tm, std::slice::from_ref(map_spec));
+    let mapping = map_spec.build_with_traffic(ranks, routed, &undirected)?;
     let report = analyze_network_routed(routed, &mapping, tm);
     Ok(AnalyzeResponse::from_report(
         TraceMeta::new(trace, trace_digest),
@@ -181,7 +194,8 @@ pub fn analyze_windowed(
     windows: usize,
 ) -> Result<AnalyzeResponse, SpecError> {
     let ranks = trace.num_ranks as usize;
-    let mapping = map_spec.build_with_traffic(ranks, routed, &tm.undirected_entries())?;
+    let undirected = undirected_if_needed(tm, std::slice::from_ref(map_spec));
+    let mapping = map_spec.build_with_traffic(ranks, routed, &undirected)?;
     let report = analyze_network_routed(routed, &mapping, tm);
     let windowed = netloc_core::windowed_ingest(trace, windows);
     let blocks = windowed
@@ -258,7 +272,7 @@ pub fn sweep(
     routed: &RoutedTopology<'_>,
 ) -> Result<SweepResponse, SpecError> {
     let ranks = trace.num_ranks as usize;
-    let undirected = tm.undirected_entries();
+    let undirected = undirected_if_needed(tm, map_specs);
     let mut cells = Vec::with_capacity(map_specs.len());
     for spec in map_specs {
         let mapping = spec.build_with_traffic(ranks, routed, &undirected)?;

@@ -1,7 +1,7 @@
 //! Fat-tree topology (k-ary n-tree from fixed-radix switches).
 
 use crate::link::{Link, LinkClass, LinkId, NodeId};
-use crate::Topology;
+use crate::{SymmetryHint, Topology};
 
 /// A fat tree built from switches of a fixed radix `r` (the paper uses
 /// `r = 48`), providing constant bisection bandwidth at every stage
@@ -20,6 +20,9 @@ use crate::Topology;
 /// level the up-link labeled with the destination's digit (deterministic
 /// destination-based shortest path, appropriate for the paper's model
 /// without load balancing), then descends along the destination's digits.
+/// Those digits are the destination *leaf switch's* (`node / k`), so every
+/// route is `[src] ++ core(leaf(src), leaf(dst)) ++ [dst]` and the tree is
+/// router-symmetric with `k` nodes per leaf.
 #[derive(Debug, Clone)]
 pub struct FatTree {
     radix: usize,
@@ -236,6 +239,18 @@ impl Topology for FatTree {
             2 * self.stages as u32
         }
     }
+
+    fn symmetry_hint(&self) -> Option<SymmetryHint> {
+        // Up and down paths read only `a / k` and `b / k`; a one-stage
+        // tree is a single switch holding every node.
+        Some(SymmetryHint::RouterSymmetric {
+            nodes_per_router: if self.stages == 1 {
+                self.num_nodes
+            } else {
+                self.k
+            },
+        })
+    }
 }
 
 #[cfg(test)]
@@ -336,6 +351,17 @@ mod tests {
             }
         }
         assert_eq!(tops.len(), 2);
+    }
+
+    #[test]
+    fn reports_leaf_switch_symmetry() {
+        let hint = |ft: FatTree| match ft.symmetry_hint() {
+            Some(SymmetryHint::RouterSymmetric { nodes_per_router }) => nodes_per_router,
+            None => panic!("fat tree reports no symmetry"),
+        };
+        assert_eq!(hint(FatTree::new(48, 1)), 48);
+        assert_eq!(hint(FatTree::new(48, 2)), 24);
+        assert_eq!(hint(FatTree::new(8, 3)), 4);
     }
 
     #[test]

@@ -174,67 +174,38 @@ impl Jellyfish {
     }
 }
 
+/// Upper bound on fresh stub matchings [`random_regular_edges`] draws when
+/// the swap repair of one gets stuck (dense small graphs such as 4-regular
+/// on 6 routers can reach states no single swap fixes).
+const MAX_PAIRINGS: usize = 256;
+
+/// An undirected router edge as an ordered `(lo, hi)` pair.
+type Edge = (u32, u32);
+
+/// `(a, b)` as an ordered `(lo, hi)` edge.
+fn norm(a: u32, b: u32) -> Edge {
+    if a < b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// Draw a connected random `degree`-regular graph on `routers` vertices as
 /// a sorted, duplicate-free edge list of `(lo, hi)` pairs.
 fn random_regular_edges(routers: usize, degree: usize, rng: &mut ChaCha8Rng) -> Vec<(u32, u32)> {
-    let norm = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
+    // A pairing whose repair converges is kept as drawn, so a stuck draw
+    // only costs a redraw from the same stream.
+    let (mut edges, mut seen) = (0..MAX_PAIRINGS)
+        .find_map(|_| simple_pairing(routers, degree, rng))
+        .unwrap_or_else(|| {
+            panic!("jellyfish repair did not converge (routers={routers}, degree={degree})")
+        });
 
-    // Stub matching: shuffle 2E stubs, pair them off.
-    let mut stubs: Vec<u32> = (0..routers as u32)
-        .flat_map(|r| std::iter::repeat_n(r, degree))
-        .collect();
-    for i in (1..stubs.len()).rev() {
-        stubs.swap(i, rng.gen_range(0..i + 1));
-    }
-    let mut edges: Vec<(u32, u32)> = stubs.chunks(2).map(|c| norm(c[0], c[1])).collect();
-
-    // Repair pass 1: swap away self-loops and duplicate edges. `seen`
-    // holds the simple (good) edges; `good[i]` says edge i owns its entry.
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(edges.len());
-    let mut good = vec![false; edges.len()];
-    let mut bad: Vec<usize> = Vec::new();
-    for (i, &(a, b)) in edges.iter().enumerate() {
-        if a != b && seen.insert((a, b)) {
-            good[i] = true;
-        } else {
-            bad.push(i);
-        }
-    }
-    let mut attempts = 0usize;
-    while let Some(&i) = bad.last() {
-        attempts += 1;
-        assert!(
-            attempts < 1000 * edges.len().max(64),
-            "jellyfish repair did not converge (routers={routers}, degree={degree})"
-        );
-        let j = rng.gen_range(0..edges.len());
-        if j == i || !good[j] {
-            continue;
-        }
-        // Swap (u,v),(x,y) -> (u,x),(v,y); accept only if both results are
-        // new simple edges.
-        let (u, v) = edges[i];
-        let (x, y) = edges[j];
-        if u == x || v == y {
-            continue;
-        }
-        let (e1, e2) = (norm(u, x), norm(v, y));
-        if e1 == e2 || seen.contains(&e1) || seen.contains(&e2) {
-            continue;
-        }
-        seen.remove(&norm(x, y));
-        seen.insert(e1);
-        seen.insert(e2);
-        edges[i] = e1;
-        edges[j] = e2;
-        good[i] = true;
-        bad.pop();
-    }
-
-    // Repair pass 2: splice components with double-edge swaps. Taking one
-    // edge inside the main component and one inside another and crossing
-    // them always yields two new component-bridging (hence simple) edges
-    // and joins the two components.
+    // Splice components with double-edge swaps. Taking one edge inside
+    // the main component and one inside another and crossing them always
+    // yields two new component-bridging (hence simple) edges and joins the
+    // two components.
     loop {
         let comp = components(routers, &edges);
         let main = comp[0];
@@ -263,6 +234,67 @@ fn random_regular_edges(routers: usize, degree: usize, rng: &mut ChaCha8Rng) -> 
 
     edges.sort_unstable();
     edges
+}
+
+/// One random stub matching, repaired into a simple graph (no self-loops,
+/// no duplicate edges) by double-edge swaps; `None` when the repair runs
+/// out of attempts. Returns the edges and the set of them.
+fn simple_pairing(
+    routers: usize,
+    degree: usize,
+    rng: &mut ChaCha8Rng,
+) -> Option<(Vec<Edge>, HashSet<Edge>)> {
+    // Stub matching: shuffle 2E stubs, pair them off.
+    let mut stubs: Vec<u32> = (0..routers as u32)
+        .flat_map(|r| std::iter::repeat_n(r, degree))
+        .collect();
+    for i in (1..stubs.len()).rev() {
+        stubs.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut edges: Vec<(u32, u32)> = stubs.chunks(2).map(|c| norm(c[0], c[1])).collect();
+
+    // Swap away self-loops and duplicate edges. `seen` holds the simple
+    // (good) edges; `good[i]` says edge i owns its entry.
+    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(edges.len());
+    let mut good = vec![false; edges.len()];
+    let mut bad: Vec<usize> = Vec::new();
+    for (i, &(a, b)) in edges.iter().enumerate() {
+        if a != b && seen.insert((a, b)) {
+            good[i] = true;
+        } else {
+            bad.push(i);
+        }
+    }
+    let mut attempts = 0usize;
+    while let Some(&i) = bad.last() {
+        attempts += 1;
+        if attempts >= 1000 * edges.len().max(64) {
+            return None;
+        }
+        let j = rng.gen_range(0..edges.len());
+        if j == i || !good[j] {
+            continue;
+        }
+        // Swap (u,v),(x,y) -> (u,x),(v,y); accept only if both results are
+        // new simple edges.
+        let (u, v) = edges[i];
+        let (x, y) = edges[j];
+        if u == x || v == y {
+            continue;
+        }
+        let (e1, e2) = (norm(u, x), norm(v, y));
+        if e1 == e2 || seen.contains(&e1) || seen.contains(&e2) {
+            continue;
+        }
+        seen.remove(&norm(x, y));
+        seen.insert(e1);
+        seen.insert(e2);
+        edges[i] = e1;
+        edges[j] = e2;
+        good[i] = true;
+        bad.pop();
+    }
+    Some((edges, seen))
 }
 
 /// Component label per vertex (label = smallest vertex of the component,
@@ -458,6 +490,20 @@ mod tests {
             }
         }
         assert_eq!(jf.diameter(), 2 + max_dist);
+    }
+
+    #[test]
+    fn dense_small_graphs_redraw_instead_of_panicking() {
+        // 4-regular on 6 routers is K6 minus a perfect matching; many stub
+        // matchings reach repair states no single swap fixes.
+        for (routers, degree) in [(6, 4), (6, 3), (7, 4), (8, 4)] {
+            for seed in 0..100 {
+                let jf = Jellyfish::new(routers, degree, 1, seed);
+                let g = jf.router_graph();
+                assert!(g.is_connected());
+                assert!((0..routers).all(|r| g.degree(r) == degree));
+            }
+        }
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! topology. Topologies whose routes factor through a router-pair core
 //! advertise it via [`Topology::symmetry_hint`], which lets
 //! [`routetable::CompressedRouteTable`] store each core once instead of a
-//! per-node-pair flat CSR.
+//! per-node-pair flat CSR, and lets the flat [`RouteTable`] be expanded
+//! from those cores instead of routing every node pair.
 //!
 //! ```
 //! use netloc_topology::{Topology, Torus3D};
@@ -149,13 +150,58 @@ pub trait Topology: Sync {
     }
 
     /// Structural symmetry of this topology's routes, if any. The default
-    /// reports none; router-symmetric families (dragonfly, Slim Fly,
-    /// HyperX, Jellyfish) override it so [`RoutedTopology::auto`] can pick
-    /// compressed route storage. Topologies whose core depends on more
-    /// than the router pair (the fat tree's up-path follows destination
-    /// digits; the torus has no terminal links at all) must stay `None`.
+    /// reports none; router-symmetric families (fat tree, dragonfly, Slim
+    /// Fly, HyperX, Jellyfish) override it so route tables are built from
+    /// one core per router pair and [`RoutedTopology::auto`] can pick
+    /// compressed storage. The fat tree qualifies because its up- and
+    /// down-paths follow the digits of the destination's *leaf switch*
+    /// (`node / k`), never the node itself. Topologies whose core depends
+    /// on more than the router pair (the tapered fat tree hashes its up
+    /// port on the node pair; the torus has no terminal links at all) must
+    /// stay `None`.
     fn symmetry_hint(&self) -> Option<SymmetryHint> {
         None
+    }
+
+    /// Append the router-to-router cores of every route out of source
+    /// router `rs`: for each destination router `rd` in ascending order,
+    /// push the core's links onto `links` and its length onto `lens` (an
+    /// empty core for `rd == rs`). Only called when
+    /// [`Topology::symmetry_hint`] reports
+    /// [`SymmetryHint::RouterSymmetric`] with this `nodes_per_router`.
+    ///
+    /// The default strips the two terminal hops off
+    /// [`Topology::route_into`] between the routers' first nodes and
+    /// asserts the hint's contract (terminal link ids equal node ids), so
+    /// a wrong hint fails loudly at build time rather than corrupting
+    /// routes. Families with a cheaper router-level construction override
+    /// it; an override must produce exactly the default's cores.
+    fn core_row_into(
+        &self,
+        nodes_per_router: usize,
+        rs: usize,
+        lens: &mut Vec<u32>,
+        links: &mut Vec<LinkId>,
+    ) {
+        let p = nodes_per_router;
+        let src = NodeId((rs * p) as u32);
+        for rd in 0..self.num_nodes() / p {
+            let start = links.len();
+            if rd != rs {
+                let dst = NodeId((rd * p) as u32);
+                self.route_into(src, dst, links);
+                assert!(
+                    links.len() >= start + 2
+                        && links[start] == LinkId(src.0)
+                        && *links.last().unwrap() == LinkId(dst.0),
+                    "{}: route {src}->{dst} does not match its router-symmetry hint",
+                    self.name()
+                );
+                links.pop();
+                links.remove(start);
+            }
+            lens.push((links.len() - start) as u32);
+        }
     }
 
     /// The topology's diameter in hops (maximum over node pairs).

@@ -43,9 +43,13 @@
 //! endpoint machines practical; see its type-level docs for the exact
 //! bound.
 //!
-//! Construction is embarrassingly parallel over sources and uses rayon
-//! (`par_chunks`); the chunk results are concatenated in source order, so
-//! the table bytes are deterministic.
+//! Construction is parallel over source rows and deterministic. Tables of
+//! router-symmetric topologies are built from their router-pair cores: the
+//! `R²` cores first, then the dense offsets from the core lengths, then the
+//! links filled in place, `[s] ++ core(s/p, d/p) ++ [d]` per pair — one
+//! routing call per router pair instead of per node pair. Other topologies
+//! route every pair; their rows are built in parallel chunks, each copied
+//! once into exact-size CSR arrays in source order.
 
 use crate::link::{LinkId, NodeId};
 use crate::{SymmetryHint, Topology};
@@ -75,6 +79,36 @@ pub const DENSE_PAIR_LIMIT: usize = 4_000_000;
 /// built lazily on first touch.
 pub const COMPRESSED_PAIR_LIMIT: usize = 64_000_000;
 
+/// Route storage for one machine, as [`plan_storage`] picks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoragePlan {
+    /// Dense flat [`RouteTable`].
+    Dense,
+    /// Full [`CompressedRouteTable`].
+    Compressed,
+    /// Per-source-router core rows, built on first touch.
+    LazyCompressed,
+    /// Per-source flat rows, built on first touch.
+    Lazy,
+}
+
+/// The storage [`RoutedTopology::auto`] builds for `topo`: the heuristic
+/// documented on [`DENSE_PAIR_LIMIT`]. The one storage picker — callers
+/// that cache tables of their own (the analysis service) plan with it too.
+pub fn plan_storage<T: Topology + ?Sized>(topo: &T) -> StoragePlan {
+    let n = topo.num_nodes();
+    if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
+        return StoragePlan::Dense;
+    }
+    match nodes_per_router(topo) {
+        Some(p) if (n / p).saturating_mul(n / p) <= COMPRESSED_PAIR_LIMIT => {
+            StoragePlan::Compressed
+        }
+        Some(_) => StoragePlan::LazyCompressed,
+        None => StoragePlan::Lazy,
+    }
+}
+
 /// CSR routes from one source node to every destination of a topology.
 ///
 /// The lazy building block of the replay engine: `offsets` has `n + 1`
@@ -100,6 +134,15 @@ impl SourceRow {
             topo.route_into(src, NodeId(d as u32), &mut links);
             offsets.push(u32::try_from(links.len()).expect("row links fit u32"));
         }
+        SourceRow { offsets, links }
+    }
+
+    /// The core row of source router `rs` ([`Topology::core_row_into`]):
+    /// "destinations" are router ids and entries are route cores.
+    fn cores<T: Topology + ?Sized>(topo: &T, p: usize, rs: usize) -> Self {
+        let (offsets, links) = assemble_csr(1, topo.num_nodes() / p, |_, lens, links| {
+            topo.core_row_into(p, rs, lens, links);
+        });
         SourceRow { offsets, links }
     }
 
@@ -137,48 +180,24 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// Precompute every route of `topo`, in parallel over source nodes.
+    /// Router-symmetric topologies are expanded from their router-pair
+    /// cores (see the module docs); the bytes are the same either way.
     ///
     /// # Panics
     /// Panics if the table would hold more than `u32::MAX` link ids; use
     /// the lazy mode of [`RoutedTopology`] for machines that large.
     pub fn build<T: Topology + ?Sized>(topo: &T) -> Self {
-        let n = topo.num_nodes();
-        let sources: Vec<u32> = (0..n as u32).collect();
-        // A handful of sources per chunk keeps all workers busy without
-        // drowning the (in-order, deterministic) concatenation in tiny
-        // intermediate vectors.
-        let chunk = (n / 64).max(1);
-        let (row_lens, links) = sources
-            .par_chunks(chunk)
-            .map(|srcs| {
-                let mut lens: Vec<u32> = Vec::with_capacity(srcs.len() * n);
-                let mut links: Vec<LinkId> = Vec::new();
-                for &s in srcs {
-                    let mut prev = links.len();
-                    for d in 0..n {
-                        topo.route_into(NodeId(s), NodeId(d as u32), &mut links);
-                        lens.push((links.len() - prev) as u32);
-                        prev = links.len();
-                    }
-                }
-                (lens, links)
-            })
-            .reduce(
-                || (Vec::new(), Vec::new()),
-                |mut a, mut b| {
-                    a.0.append(&mut b.0);
-                    a.1.append(&mut b.1);
-                    a
-                },
-            );
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0u32);
-        let mut acc = 0u64;
-        for &len in &row_lens {
-            acc += u64::from(len);
-            offsets.push(u32::try_from(acc).expect("dense CSR links fit u32"));
+        if let Some(p) = nodes_per_router(topo) {
+            return CompressedRouteTable::build_cores(topo, p).expand();
         }
-        debug_assert_eq!(acc as usize, links.len());
+        let n = topo.num_nodes();
+        let (offsets, links) = assemble_csr(n, n, |s, lens, links| {
+            for d in 0..n {
+                let start = links.len();
+                topo.route_into(NodeId(s as u32), NodeId(d as u32), links);
+                lens.push((links.len() - start) as u32);
+            }
+        });
         RouteTable { n, offsets, links }
     }
 
@@ -297,65 +316,78 @@ impl RouteTable {
 const COMPRESSED_MAGIC: u64 = u64::from_le_bytes(*b"NLOC-CRT");
 
 /// The `nodes_per_router` of a topology's [`SymmetryHint::RouterSymmetric`]
-/// hint, validated against its node count.
+/// hint, when it reports one that divides its node count.
+fn nodes_per_router<T: Topology + ?Sized>(topo: &T) -> Option<usize> {
+    match topo.symmetry_hint() {
+        Some(SymmetryHint::RouterSymmetric {
+            nodes_per_router: p,
+        }) if p > 0 && topo.num_nodes().is_multiple_of(p) => Some(p),
+        _ => None,
+    }
+}
+
+/// [`nodes_per_router`] for the storages that require it.
 ///
 /// # Panics
 /// Panics if the topology reports no (usable) router symmetry.
 fn router_symmetry<T: Topology + ?Sized>(topo: &T) -> usize {
-    match topo.symmetry_hint() {
-        Some(SymmetryHint::RouterSymmetric {
-            nodes_per_router: p,
-        }) if p > 0 && topo.num_nodes().is_multiple_of(p) => p,
-        _ => panic!(
+    nodes_per_router(topo).unwrap_or_else(|| {
+        panic!(
             "compressed route storage requires a router-symmetric topology, \
              but {} reports no usable symmetry hint",
             topo.name()
-        ),
-    }
+        )
+    })
 }
 
-/// Append the router-to-router core of the `rs → rd` route: the full route
-/// between representative nodes with the two terminal hops stripped.
-/// Verifies the symmetry contract (terminal link ids equal node ids) so a
-/// topology with a wrong hint fails loudly at build time, not with silent
-/// route corruption.
-fn core_into<T: Topology + ?Sized>(
-    topo: &T,
-    p: usize,
-    rs: usize,
-    rd: usize,
-    out: &mut Vec<LinkId>,
-) {
-    if rs == rd {
-        return;
-    }
-    let src = NodeId((rs * p) as u32);
-    let dst = NodeId((rd * p) as u32);
-    let start = out.len();
-    topo.route_into(src, dst, out);
-    assert!(
-        out.len() >= start + 2
-            && out[start] == LinkId(src.0)
-            && *out.last().unwrap() == LinkId(dst.0),
-        "{}: route {src}->{dst} does not match its router-symmetry hint",
-        topo.name()
-    );
-    out.pop();
-    out.remove(start);
+/// Convert a running link count to a CSR offset.
+fn csr_offset(count: u64) -> u32 {
+    u32::try_from(count).expect("CSR links fit u32")
 }
 
-/// Per-source-router core rows for [`RoutedTopology::lazy_compressed`]: a
-/// [`SourceRow`] whose "destinations" are router ids and whose entries are
-/// route cores.
-fn core_row<T: Topology + ?Sized>(topo: &T, p: usize, routers: usize, rs: usize) -> SourceRow {
-    let mut offsets = Vec::with_capacity(routers + 1);
-    let mut links = Vec::new();
-    offsets.push(0);
-    for rd in 0..routers {
-        core_into(topo, p, rs, rd, &mut links);
-        offsets.push(u32::try_from(links.len()).expect("core row links fit u32"));
+/// Assemble a `rows × cols` CSR from rows built in parallel.
+/// `fill_row(r, lens, links)` pushes row `r`'s `cols` entry lengths onto
+/// `lens` and their links onto `links`. Chunks of rows build into private
+/// buffers; each chunk is then copied exactly once, in row order, into
+/// exact-capacity `offsets`/`links` — no growth reallocations and
+/// deterministic bytes.
+fn assemble_csr(
+    rows: usize,
+    cols: usize,
+    fill_row: impl Fn(usize, &mut Vec<u32>, &mut Vec<LinkId>) + Sync,
+) -> (Vec<u32>, Vec<LinkId>) {
+    let ids: Vec<usize> = (0..rows).collect();
+    // A handful of rows per chunk keeps all workers busy without drowning
+    // the in-order assembly in tiny buffers.
+    let chunks = ids
+        .par_chunks((rows / 64).max(1))
+        .map(|rows| {
+            let mut lens = Vec::with_capacity(rows.len() * cols);
+            let mut links = Vec::new();
+            for &r in rows {
+                fill_row(r, &mut lens, &mut links);
+            }
+            vec![(lens, links)]
+        })
+        .reduce(Vec::new, |mut a, b| {
+            a.extend(b);
+            a
+        });
+    let total = csr_offset(chunks.iter().map(|(_, links)| links.len() as u64).sum());
+    let mut offsets = Vec::with_capacity(rows * cols + 1);
+    let mut links = Vec::with_capacity(total as usize);
+    let mut end = 0u32;
+    offsets.push(end);
+    for (chunk_lens, chunk_links) in chunks {
+        for len in chunk_lens {
+            end += len;
+            offsets.push(end);
+        }
+        links.extend_from_slice(&chunk_links);
     }
-    SourceRow { offsets, links }
+    debug_assert_eq!(offsets.len(), rows * cols + 1);
+    debug_assert_eq!(end, total);
+    (offsets, links)
 }
 
 /// Compressed hierarchical route table for router-symmetric topologies.
@@ -387,49 +419,24 @@ pub struct CompressedRouteTable {
 
 impl CompressedRouteTable {
     /// Precompute every route core of `topo`, in parallel over source
-    /// routers.
+    /// routers, one [`Topology::core_row_into`] row each.
     ///
     /// # Panics
     /// Panics if the topology reports no usable
     /// [`SymmetryHint::RouterSymmetric`] hint, if a route violates the
     /// hint's factorization, or if the core CSR overflows `u32` ids.
     pub fn build<T: Topology + ?Sized>(topo: &T) -> Self {
-        let p = router_symmetry(topo);
+        Self::build_cores(topo, router_symmetry(topo))
+    }
+
+    /// [`build`](CompressedRouteTable::build) with the hint's validated
+    /// `nodes_per_router`.
+    fn build_cores<T: Topology + ?Sized>(topo: &T, p: usize) -> Self {
         let nodes = topo.num_nodes();
         let routers = nodes / p;
-        let sources: Vec<u32> = (0..routers as u32).collect();
-        let chunk = (routers / 64).max(1);
-        let (row_lens, links) = sources
-            .par_chunks(chunk)
-            .map(|srcs| {
-                let mut lens: Vec<u32> = Vec::with_capacity(srcs.len() * routers);
-                let mut links: Vec<LinkId> = Vec::new();
-                for &rs in srcs {
-                    let mut prev = links.len();
-                    for rd in 0..routers {
-                        core_into(topo, p, rs as usize, rd, &mut links);
-                        lens.push((links.len() - prev) as u32);
-                        prev = links.len();
-                    }
-                }
-                (lens, links)
-            })
-            .reduce(
-                || (Vec::new(), Vec::new()),
-                |mut a, mut b| {
-                    a.0.append(&mut b.0);
-                    a.1.append(&mut b.1);
-                    a
-                },
-            );
-        let mut offsets = Vec::with_capacity(routers * routers + 1);
-        offsets.push(0u32);
-        let mut acc = 0u64;
-        for &len in &row_lens {
-            acc += u64::from(len);
-            offsets.push(u32::try_from(acc).expect("compressed CSR links fit u32"));
-        }
-        debug_assert_eq!(acc as usize, links.len());
+        let (offsets, links) = assemble_csr(routers, routers, |rs, lens, links| {
+            topo.core_row_into(p, rs, lens, links);
+        });
         CompressedRouteTable {
             nodes,
             nodes_per_router: p,
@@ -437,6 +444,65 @@ impl CompressedRouteTable {
             offsets,
             links,
         }
+    }
+
+    /// Length of the stored core of a router pair.
+    #[inline]
+    fn core_len(&self, rs: usize, rd: usize) -> u32 {
+        let i = rs * self.routers + rd;
+        self.offsets[i + 1] - self.offsets[i]
+    }
+
+    /// The dense flat table of the same routes: offsets from the core
+    /// lengths (`2 + |core|` per pair, 0 on the diagonal) and `links`
+    /// allocated once, then each source's offset row and link row filled
+    /// in place by one task as `[s] ++ core(s/p, d/p) ++ [d]`.
+    fn expand(&self) -> RouteTable {
+        let (n, p, routers) = (self.nodes, self.nodes_per_router, self.routers);
+        // Every source on router `rs` has the same row length: `2` per
+        // destination but itself, plus `p` copies of each core in the row.
+        let row_len = |rs: usize| -> u64 {
+            let cores = self.offsets[(rs + 1) * routers] - self.offsets[rs * routers];
+            (2 * n - 2) as u64 + p as u64 * u64::from(cores)
+        };
+        let mut row_start = Vec::with_capacity(n + 1);
+        row_start.push(0u64);
+        for s in 0..n {
+            row_start.push(row_start[s] + row_len(s / p));
+        }
+        let total = csr_offset(row_start[n]);
+
+        let mut offsets = vec![0u32; n * n + 1];
+        offsets[n * n] = total;
+        let mut links = vec![LinkId(0); total as usize];
+        let mut rows = Vec::with_capacity(n);
+        let mut rest = links.as_mut_slice();
+        for (s, offset_row) in offsets[..n * n].chunks_mut(n.max(1)).enumerate() {
+            let (link_row, tail) = rest.split_at_mut((row_start[s + 1] - row_start[s]) as usize);
+            rows.push((offset_row, link_row));
+            rest = tail;
+        }
+        rows.par_iter_mut()
+            .enumerate()
+            .for_each(|(s, (offset_row, link_row))| {
+                let (rs, start) = (s / p, row_start[s] as u32);
+                let mut at = 0;
+                for rd in 0..routers {
+                    let core = self.core_of(rs, rd);
+                    for d in rd * p..(rd + 1) * p {
+                        offset_row[d] = start + at as u32;
+                        if d == s {
+                            continue;
+                        }
+                        link_row[at] = LinkId(s as u32);
+                        link_row[at + 1..at + 1 + core.len()].copy_from_slice(core);
+                        at += core.len() + 2;
+                        link_row[at - 1] = LinkId(d as u32);
+                    }
+                }
+                debug_assert_eq!(at, link_row.len());
+            });
+        RouteTable { n, offsets, links }
     }
 
     /// Number of nodes the table covers.
@@ -504,8 +570,7 @@ impl CompressedRouteTable {
         if rs == rd {
             return 2;
         }
-        let i = rs * self.routers + rd;
-        2 + (self.offsets[i + 1] - self.offsets[i])
+        2 + self.core_len(rs, rd)
     }
 
     /// Total core link ids stored (Σ core length over ordered router pairs).
@@ -839,30 +904,18 @@ impl<'a> RoutedTopology<'a> {
         }
     }
 
-    /// Pick storage automatically: dense up to [`DENSE_PAIR_LIMIT`] node
-    /// pairs; above that, compressed storage when the topology advertises
-    /// router symmetry (full table up to [`COMPRESSED_PAIR_LIMIT`] router
-    /// pairs, lazy core rows beyond); lazy flat rows otherwise. See the
-    /// constants' docs for the rationale.
+    /// Pick storage automatically with [`plan_storage`]: dense up to
+    /// [`DENSE_PAIR_LIMIT`] node pairs; above that, compressed storage
+    /// when the topology advertises router symmetry (full table up to
+    /// [`COMPRESSED_PAIR_LIMIT`] router pairs, lazy core rows beyond);
+    /// lazy flat rows otherwise. See the constants' docs for the rationale.
     pub fn auto(topo: &'a dyn Topology) -> Self {
-        let n = topo.num_nodes();
-        if n.saturating_mul(n) <= DENSE_PAIR_LIMIT {
-            return Self::dense(topo);
+        match plan_storage(topo) {
+            StoragePlan::Dense => Self::dense(topo),
+            StoragePlan::Compressed => Self::compressed(topo),
+            StoragePlan::LazyCompressed => Self::lazy_compressed(topo),
+            StoragePlan::Lazy => Self::lazy(topo),
         }
-        if let Some(SymmetryHint::RouterSymmetric {
-            nodes_per_router: p,
-        }) = topo.symmetry_hint()
-        {
-            if p > 0 && n.is_multiple_of(p) {
-                let r = n / p;
-                return if r.saturating_mul(r) <= COMPRESSED_PAIR_LIMIT {
-                    Self::compressed(topo)
-                } else {
-                    Self::lazy_compressed(topo)
-                };
-            }
-        }
-        Self::lazy(topo)
     }
 
     /// The wrapped topology.
@@ -931,8 +984,8 @@ impl<'a> RoutedTopology<'a> {
                 scratch.push(LinkId(src.0));
                 let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
                 if rs != rd {
-                    let row = rows[rs]
-                        .get_or_init(|| core_row(self.topo, *nodes_per_router, rows.len(), rs));
+                    let row =
+                        rows[rs].get_or_init(|| SourceRow::cores(self.topo, *nodes_per_router, rs));
                     scratch.extend_from_slice(row.route_of(NodeId(rd as u32)));
                 }
                 scratch.push(LinkId(dst.0));
@@ -971,7 +1024,7 @@ impl<'a> RoutedTopology<'a> {
                     return 2;
                 }
                 2 + rows[rs]
-                    .get_or_init(|| core_row(self.topo, *nodes_per_router, rows.len(), rs))
+                    .get_or_init(|| SourceRow::cores(self.topo, *nodes_per_router, rs))
                     .hops(NodeId(rd as u32))
             }
             Storage::Direct => self.topo.hops(src, dst),
@@ -1154,6 +1207,8 @@ mod tests {
 
     fn symmetric_topos() -> Vec<Box<dyn Topology>> {
         vec![
+            Box::new(FatTree::new(6, 1)),
+            Box::new(FatTree::new(8, 3)),
             Box::new(Dragonfly::new(4, 2, 2)),
             Box::new(crate::SlimFly::new(5, 2)),
             Box::new(crate::HyperX::new(vec![3, 4], 2)),
@@ -1162,7 +1217,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_matches_dense_everywhere() {
+    fn compressed_and_core_expanded_dense_match_direct_everywhere() {
         for topo in symmetric_topos() {
             let dense = RoutedTopology::dense(topo.as_ref());
             let compressed = RoutedTopology::compressed(topo.as_ref());
@@ -1172,16 +1227,20 @@ mod tests {
             for s in 0..n {
                 for d in 0..n {
                     let (s, d) = (NodeId(s as u32), NodeId(d as u32));
-                    let r = dense.route_of(s, d, &mut b1).to_vec();
-                    assert_eq!(
-                        compressed.route_of(s, d, &mut b2),
-                        &r[..],
-                        "{}: {s}->{d}",
-                        topo.name()
-                    );
-                    assert_eq!(lazy_c.route_of(s, d, &mut b3), &r[..]);
-                    assert_eq!(compressed.hops(s, d), r.len() as u32);
-                    assert_eq!(lazy_c.hops(s, d), r.len() as u32);
+                    let r = topo.route(s, d);
+                    for (label, routed, buf) in [
+                        ("dense", &dense, &mut b1),
+                        ("compressed", &compressed, &mut b2),
+                        ("lazy compressed", &lazy_c, &mut b3),
+                    ] {
+                        assert_eq!(
+                            routed.route_of(s, d, buf),
+                            &r[..],
+                            "{}: {label} {s}->{d}",
+                            topo.name()
+                        );
+                        assert_eq!(routed.hops(s, d), r.len() as u32);
+                    }
                 }
             }
             assert!(compressed.compressed_table().is_some());
@@ -1284,6 +1343,45 @@ mod tests {
                 direct.route_of(NodeId(s), NodeId(d), &mut b2).to_vec()
             );
         }
+    }
+
+    #[test]
+    fn auto_stores_the_paper_fat_tree_compressed() {
+        // 13 824 nodes -> n² ≈ 191M > DENSE_PAIR_LIMIT; 576 leaf switches.
+        let ft = FatTree::new(48, 3);
+        assert_eq!(plan_storage(&ft), StoragePlan::Compressed);
+        let routed = RoutedTopology::auto(&ft);
+        let table = routed
+            .compressed_table()
+            .expect("fat tree is router-symmetric");
+        assert_eq!(table.num_routers(), 576);
+        let direct = RoutedTopology::direct(&ft);
+        let (mut b1, mut b2) = (Vec::new(), Vec::new());
+        for (s, d) in [(0u32, 13_823u32), (5, 6), (24, 600), (700, 13_000), (9, 9)] {
+            let (s, d) = (NodeId(s), NodeId(d));
+            assert_eq!(
+                routed.route_of(s, d, &mut b1).to_vec(),
+                direct.route_of(s, d, &mut b2).to_vec()
+            );
+            assert_eq!(routed.hops(s, d), direct.hops(s, d));
+        }
+    }
+
+    #[test]
+    fn plan_storage_follows_the_documented_heuristic() {
+        assert_eq!(plan_storage(&Torus3D::new([4, 4, 4])), StoragePlan::Dense);
+        assert_eq!(
+            plan_storage(&crate::SlimFly::new(13, 7)),
+            StoragePlan::Compressed
+        );
+        assert_eq!(
+            plan_storage(&crate::Jellyfish::new(9_000, 4, 1, 1)),
+            StoragePlan::LazyCompressed
+        );
+        assert_eq!(
+            plan_storage(&crate::TorusNd::new(&[200, 200, 2])),
+            StoragePlan::Lazy
+        );
     }
 
     #[test]

@@ -271,6 +271,40 @@ impl Topology for SlimFly {
             nodes_per_router: self.p,
         })
     }
+
+    /// `core_into` for a whole row: `rs`'s neighbours are marked once, so
+    /// each destination is a direct link or the first marked neighbour in
+    /// `rd`'s ascending adjacency — the same choice as
+    /// [`RouterGraph::common_neighbor`], without a merge per pair.
+    fn core_row_into(
+        &self,
+        _nodes_per_router: usize,
+        rs: usize,
+        lens: &mut Vec<u32>,
+        links: &mut Vec<LinkId>,
+    ) {
+        let mut via: Vec<Option<LinkId>> = vec![None; self.graph.num_routers()];
+        for &(r, l) in self.graph.neighbors(rs) {
+            via[r as usize] = Some(l);
+        }
+        for rd in 0..via.len() {
+            if rd == rs {
+                lens.push(0);
+            } else if let Some(l) = via[rd] {
+                links.push(l);
+                lens.push(1);
+            } else {
+                let (l1, l2) = self
+                    .graph
+                    .neighbors(rd)
+                    .iter()
+                    .find_map(|&(w, l2)| via[w as usize].map(|l1| (l1, l2)))
+                    .expect("MMS router graph has diameter 2");
+                links.extend([l1, l2]);
+                lens.push(2);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -387,6 +421,41 @@ mod tests {
                 assert_eq!(route.len(), sf.route(dn, sn).len(), "{s}<->{d}");
                 let mut seen = std::collections::HashSet::new();
                 assert!(route.iter().all(|l| seen.insert(*l)), "{s}->{d} repeats");
+            }
+        }
+    }
+
+    /// The default hook, which routes every router pair through
+    /// `route_into`, run on a Slim Fly.
+    struct DefaultHook<'a>(&'a SlimFly);
+
+    impl Topology for DefaultHook<'_> {
+        fn name(&self) -> &'static str {
+            "slimfly-default-hook"
+        }
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn links(&self) -> &[Link] {
+            self.0.links()
+        }
+        fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+            self.0.route_into(src, dst, out);
+        }
+    }
+
+    #[test]
+    fn core_row_override_matches_default_hook() {
+        for q in [5usize, 13, 17, 29] {
+            let sf = SlimFly::new(q, 2);
+            let default = DefaultHook(&sf);
+            for rs in (0..sf.num_routers()).step_by(q) {
+                let (mut lens, mut links) = (Vec::new(), Vec::new());
+                sf.core_row_into(2, rs, &mut lens, &mut links);
+                let (mut want_lens, mut want_links) = (Vec::new(), Vec::new());
+                default.core_row_into(2, rs, &mut want_lens, &mut want_links);
+                assert_eq!(lens, want_lens, "q={q} rs={rs}");
+                assert_eq!(links, want_links, "q={q} rs={rs}");
             }
         }
     }

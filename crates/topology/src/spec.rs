@@ -433,6 +433,14 @@ pub enum MappingSpec {
 }
 
 impl MappingSpec {
+    /// Whether building this mapping reads the traffic passed to
+    /// [`MappingSpec::build_with_traffic`] — true only for
+    /// [`MappingSpec::Greedy`], so callers can skip symmetrizing the
+    /// traffic matrix for every other placement.
+    pub fn needs_traffic(&self) -> bool {
+        matches!(self, MappingSpec::Greedy)
+    }
+
     /// Instantiate the mapping for `ranks` ranks on `nodes` nodes.
     ///
     /// Fails (never panics) when the placement does not fit, and for

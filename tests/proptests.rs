@@ -784,11 +784,20 @@ fn packetization_is_exact() {
 }
 
 /// Random small instance of a router-symmetric family (the zoo plus
-/// dragonfly). The bool is whether minimal routing may exceed BFS by a
-/// one-hop detour (dragonfly only).
+/// dragonfly and fat tree). The bool is whether minimal routing may exceed
+/// BFS by a one-hop detour (dragonfly only).
 fn random_symmetric_topo(rng: &mut ChaCha8Rng) -> (Box<dyn Topology>, bool) {
     use netloc::topology::{HyperX, Jellyfish, SlimFly};
-    match rng.gen_range(0u8..4) {
+    match rng.gen_range(0u8..5) {
+        4 => {
+            let stages = rng.gen_range(1usize..4);
+            let radix = if stages == 1 {
+                rng.gen_range(4usize..10)
+            } else {
+                [4, 8, 12][rng.gen_range(0usize..3)]
+            };
+            (Box::new(FatTree::new(radix, stages)), false)
+        }
         0 => {
             let h = rng.gen_range(1usize..3);
             let df = Dragonfly::new(2 * h, h, rng.gen_range(1usize..3));
@@ -868,11 +877,14 @@ fn symmetric_family_routes_are_clean_walks() {
     });
 }
 
-/// Replays over compressed route storage (eager and lazy) and the auto
-/// picker are byte-identical to the dense CSR replay on every
-/// router-symmetric family, for random traffic and random placements.
+/// Replays over every route storage of a router-symmetric machine — dense,
+/// compressed (eager and lazy) and the auto picker — are byte-identical to
+/// the naive reference replay, which routes each pair directly, for random
+/// traffic and random placements. The dense table is itself expanded from
+/// the router-pair cores, so it cannot serve as the oracle.
 #[test]
 fn compressed_replay_matches_dense_on_symmetric_machines() {
+    use netloc::core::analyze_network_reference;
     use netloc::core::netmodel::analyze_network_routed;
     use netloc::topology::RoutedTopology;
     check(
@@ -891,9 +903,9 @@ fn compressed_replay_matches_dense_on_symmetric_machines() {
                 );
             }
             let mapping = Mapping::random(ranks, nodes, rng);
-            let dense =
-                analyze_network_routed(&RoutedTopology::dense(topo.as_ref()), &mapping, &tm);
+            let reference = analyze_network_reference(topo.as_ref(), &mapping, &tm);
             for (label, routed) in [
+                ("dense", RoutedTopology::dense(topo.as_ref())),
                 ("compressed", RoutedTopology::compressed(topo.as_ref())),
                 (
                     "lazy compressed",
@@ -903,13 +915,95 @@ fn compressed_replay_matches_dense_on_symmetric_machines() {
             ] {
                 assert_eq!(
                     analyze_network_routed(&routed, &mapping, &tm),
-                    dense,
-                    "{}: {label} replay diverged from dense",
+                    reference,
+                    "{}: {label} replay diverged from the reference replay",
                     topo.name()
                 );
             }
         },
     );
+}
+
+/// Dense tables of router-symmetric machines are expanded from router-pair
+/// cores; every stored route must still equal per-pair `route_into`.
+#[test]
+fn dense_table_from_cores_matches_route_into() {
+    fn assert_table_matches(topo: &dyn Topology) {
+        let table = topo.route_table();
+        let n = topo.num_nodes();
+        let mut direct = Vec::new();
+        for s in 0..n {
+            for d in 0..n {
+                let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
+                direct.clear();
+                topo.route_into(src, dst, &mut direct);
+                assert_eq!(
+                    table.route_of(src, dst),
+                    &direct[..],
+                    "{}: {s}->{d}",
+                    topo.name()
+                );
+                assert_eq!(table.hops(src, dst) as usize, direct.len());
+            }
+        }
+    }
+    // Fat trees at every stage count and several radixes, including a
+    // one-node tree (k = 1) and odd one-stage radixes.
+    for (radix, stages) in [
+        (5, 1),
+        (48, 1),
+        (2, 2),
+        (4, 2),
+        (8, 2),
+        (12, 2),
+        (4, 3),
+        (8, 3),
+        (12, 3),
+    ] {
+        assert_table_matches(&FatTree::new(radix, stages));
+    }
+    check("dense_table_from_cores_matches_route_into", |rng| {
+        let (topo, _) = random_symmetric_topo(rng);
+        assert_table_matches(topo.as_ref());
+    });
+}
+
+/// `undirected_entries` (a sort-merge of the two triangles of the sorted
+/// pair view) equals a plain ordered-map symmetrization, including
+/// zero-byte and one-directional pairs, at small and large rank counts.
+#[test]
+fn undirected_entries_match_reference() {
+    use std::collections::BTreeMap;
+    check("undirected_entries_match_reference", |rng| {
+        let ranks = if rng.gen_bool(0.25) {
+            rng.gen_range(1u32..5000)
+        } else {
+            rng.gen_range(1u32..300)
+        };
+        let mut tm = TrafficMatrix::new(ranks);
+        let mut reference: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        for _ in 0..rng.gen_range(0usize..200) {
+            let (s, d) = (rng.gen_range(0..ranks), rng.gen_range(0..ranks));
+            let bytes = if rng.gen_bool(0.2) {
+                0
+            } else {
+                rng.gen_range(1u64..10_000)
+            };
+            let repeat = rng.gen_range(1u64..3);
+            tm.record(s, d, bytes, repeat);
+            if s != d {
+                let key = (s.min(d) as usize, s.max(d) as usize);
+                *reference.entry(key).or_default() += bytes * repeat;
+            }
+        }
+        let got: Vec<_> = tm
+            .undirected_entries()
+            .iter()
+            .map(|e| ((e.src, e.dst), e.bytes))
+            .collect();
+        let want: Vec<_> = reference.into_iter().collect();
+        assert_eq!(got, want, "{ranks} ranks");
+    });
 }
 
 /// Grid expansion is canonical and total-ordered: however the axes are
