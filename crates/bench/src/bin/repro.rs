@@ -296,12 +296,12 @@ fn bench_ingest(args: &[String]) {
 }
 
 /// `repro bench-sim [--smoke] [-o FILE]` — temporal-simulation benchmark:
-/// the sharded windowed engine over CSR route tables vs the sequential
-/// per-hop-routed reference, on ≥1M-injection expansions.
+/// the in-order engine over CSR route tables vs the per-message-routed
+/// reference, on ≥1M-injection expansions.
 ///
 /// Not part of `repro all` for the same reason as `bench`; `--smoke`
 /// (used by CI) shrinks the injection lists and still asserts the
-/// parallel engine is byte-identical to `refsim` before timing.
+/// engine is byte-identical to `refsim` before timing.
 fn bench_sim(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let out = args
@@ -313,7 +313,7 @@ fn bench_sim(args: &[String]) {
     banner(if smoke {
         "Simulation benchmark (smoke mode)"
     } else {
-        "Simulation benchmark: sequential refsim vs sharded windowed engine"
+        "Simulation benchmark: refsim vs in-order CSR engine"
     });
     let report = netloc_bench::simbench::run(smoke);
     if let Err(e) = netloc_bench::simbench::write_report(&report, out) {

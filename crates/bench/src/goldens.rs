@@ -61,7 +61,7 @@ fn sim_golden_configs() -> Vec<CorpusConfig> {
 
 /// Temporal [`netloc_sim::SimReport`]s for three representative corpus
 /// configs as a golden value — a byte-level tripwire over the engines'
-/// float arithmetic. The snapshot is produced by the parallel engine;
+/// float arithmetic. The snapshot is produced by the CSR engine;
 /// `netloc-testkit::check_sim` separately pins that engine to the
 /// sequential reference, so one committed file covers both.
 pub fn golden_sim() -> Value {

@@ -12,6 +12,7 @@ pub mod format;
 pub mod goldens;
 pub mod ingestbench;
 pub mod netbench;
+pub mod provenance;
 pub mod rows;
 pub mod servicebench;
 pub mod simbench;

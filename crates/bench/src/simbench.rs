@@ -1,11 +1,13 @@
 //! Tracked temporal-simulation benchmark (`repro bench-sim`).
 //!
-//! Measures the sharded parallel simulation engine
-//! ([`netloc_sim::simulate_parallel`]: conservative time windows + CSR
-//! route-table lookups + slot-chain scheduling) against the sequential
-//! reference it must stay byte-identical to
+//! Measures the simulation engine ([`netloc_sim::simulate_parallel`]:
+//! one in-order pass over CSR route-table slot lists, deduplicated per
+//! node pair) against the reference it must stay byte-identical to
 //! ([`netloc_sim::simulate_reference`]: one thread, a fresh
-//! [`Topology::route`] per message, naive window attribution).
+//! [`Topology::route`] per message, naive window attribution). Both
+//! retire messages on one thread, so `speedup_vs_refsim` measures what
+//! CSR lookups save over per-message routing — it is not a parallel
+//! speedup.
 //!
 //! | config           | topology               | nodes | injections (full) |
 //! |------------------|------------------------|-------|-------------------|
@@ -18,20 +20,22 @@
 //! spectral/FFT decompositions) expanded to over a million timed
 //! injections (`sample_stride` 1 — no subsampling), simulated with a
 //! 64-window congestion profile. Every
-//! cell first asserts that the parallel engine reproduces the reference
+//! cell first asserts that the engine reproduces the reference
 //! `SimReport` **byte-identically** — at the auto execution settings and
 //! at two adversarial worker/window combinations — before any timing, so
 //! the benchmark doubles as a differential check and refuses to publish
 //! numbers for a divergent engine. Reported per cell: wall-clock for both
 //! engines, injections/s, the one-time route-table build cost, and the
-//! end-to-end speedup.
+//! speedup over the reference.
 //!
-//! Results are written to `BENCH_sim.json` (`schema_version`-tagged; see
+//! Results are written to `BENCH_sim.json` (`schema_version`-tagged, with
+//! a [`Provenance`] block — commit, `nproc`, `rustc -V`; see
 //! [`validate_json`]). `--smoke` shrinks the traces to ~30k injections
 //! and a single timing iteration — that mode runs in CI and fails on
 //! panic (engine divergence) or schema regression; the full run stays
 //! manual because it needs minutes of quiet machine.
 
+use crate::provenance::{self, Provenance};
 use netloc_mpi::{Rank, Trace, TraceBuilder};
 use netloc_sim::{
     expand_trace, simulate_parallel, simulate_reference, Injection, SimConfig, SimExec,
@@ -45,7 +49,7 @@ use std::time::Instant;
 /// Version tag of the `BENCH_sim.json` layout. Bump on any field rename
 /// or removal; CI smoke mode fails when the written file does not match
 /// [`validate_json`] for this version.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Target injections per cell in the full run (the ISSUE's ≥1M floor).
 const FULL_INJECTIONS: usize = 1_050_000;
@@ -136,16 +140,18 @@ pub struct SimRow {
     pub identity_checks: u64,
     /// One-time dense CSR route-table construction cost, seconds.
     pub table_build_s: f64,
-    /// Sequential reference engine: best wall-clock over the iterations.
-    pub sequential_s: f64,
-    /// Parallel engine (auto exec): best wall-clock over the iterations.
-    pub parallel_s: f64,
-    /// Injections simulated per second, sequential reference.
-    pub sequential_inj_per_s: f64,
-    /// Injections simulated per second, parallel engine.
-    pub parallel_inj_per_s: f64,
-    /// `sequential_s / parallel_s`.
-    pub speedup: f64,
+    /// Reference engine (`refsim`): best wall-clock over the iterations.
+    pub refsim_s: f64,
+    /// Engine (`simulate_parallel`, auto exec): best wall-clock over the
+    /// iterations.
+    pub engine_s: f64,
+    /// Injections simulated per second, reference engine.
+    pub refsim_inj_per_s: f64,
+    /// Injections simulated per second, engine.
+    pub engine_inj_per_s: f64,
+    /// `refsim_s / engine_s`: what CSR route lookups save over
+    /// per-message routing. Both engines run on one thread.
+    pub speedup_vs_refsim: f64,
     /// Measured link utilization of the run (both engines agree).
     pub measured_utilization: f64,
     /// Mean queueing slowdown of the run (both engines agree).
@@ -160,6 +166,8 @@ pub struct SimBenchReport {
     /// True when produced by `repro bench-sim --smoke` (tiny injection
     /// lists; timings are not comparable with full runs).
     pub smoke: bool,
+    /// Where the numbers were measured.
+    pub provenance: Provenance,
     /// One row per topology config.
     pub results: Vec<SimRow>,
 }
@@ -210,16 +218,16 @@ fn run_cell(cfg: &BenchConfig, injections: &[Injection], ranks: u32, iters: usiz
         let report = simulate_parallel(&routed, &mapping, injections, &sim_cfg, &exec);
         assert_eq!(
             report, reference,
-            "{}: parallel engine (workers {}, window {}) diverged from refsim",
+            "{}: engine (workers {}, window {}) diverged from refsim",
             cfg.name, exec.workers, exec.window
         );
         identity_checks += 1;
     }
 
-    let sequential_s = time_best(iters, || {
+    let refsim_s = time_best(iters, || {
         simulate_reference(topo, &mapping, injections, &sim_cfg)
     });
-    let parallel_s = time_best(iters, || {
+    let engine_s = time_best(iters, || {
         simulate_parallel(&routed, &mapping, injections, &sim_cfg, &SimExec::default())
     });
 
@@ -232,11 +240,11 @@ fn run_cell(cfg: &BenchConfig, injections: &[Injection], ranks: u32, iters: usiz
         windows: reference.windows.len() as u64,
         identity_checks,
         table_build_s,
-        sequential_s,
-        parallel_s,
-        sequential_inj_per_s: n / sequential_s,
-        parallel_inj_per_s: n / parallel_s,
-        speedup: sequential_s / parallel_s,
+        refsim_s,
+        engine_s,
+        refsim_inj_per_s: n / refsim_s,
+        engine_inj_per_s: n / engine_s,
+        speedup_vs_refsim: refsim_s / engine_s,
         measured_utilization: reference.measured_utilization(),
         mean_slowdown: reference.mean_slowdown(),
     }
@@ -245,7 +253,7 @@ fn run_cell(cfg: &BenchConfig, injections: &[Injection], ranks: u32, iters: usiz
 /// Run the benchmark grid and return the report. Prints one line per cell.
 ///
 /// # Panics
-/// Panics if the parallel engine ever disagrees with the reference, or if
+/// Panics if the engine ever disagrees with the reference, or if
 /// a full-mode expansion falls short of one million injections.
 pub fn run(smoke: bool) -> SimBenchReport {
     let target = if smoke {
@@ -272,21 +280,22 @@ pub fn run(smoke: bool) -> SimBenchReport {
         }
         let row = run_cell(&cfg, &injections, ranks, iters);
         println!(
-            "[bench-sim] {:<13} nodes={:>5} inj={:>8} seq={:>8.1}ms par={:>8.1}ms ({:>5.1}M/s -> {:>5.1}M/s) speedup={:.2}x",
+            "[bench-sim] {:<13} nodes={:>5} inj={:>8} refsim={:>8.1}ms engine={:>8.1}ms ({:>5.1}M/s -> {:>5.1}M/s) vs refsim={:.2}x",
             row.config,
             row.nodes,
             row.injections,
-            row.sequential_s * 1e3,
-            row.parallel_s * 1e3,
-            row.sequential_inj_per_s / 1e6,
-            row.parallel_inj_per_s / 1e6,
-            row.speedup
+            row.refsim_s * 1e3,
+            row.engine_s * 1e3,
+            row.refsim_inj_per_s / 1e6,
+            row.engine_inj_per_s / 1e6,
+            row.speedup_vs_refsim
         );
         results.push(row);
     }
     SimBenchReport {
         schema_version: SCHEMA_VERSION,
         smoke,
+        provenance: Provenance::collect(),
         results,
     }
 }
@@ -323,8 +332,9 @@ fn finite_number(v: &Value) -> Option<f64> {
 }
 
 /// Structural check of a `BENCH_sim.json` value tree: version match,
-/// required fields present with the right JSON types, finite non-negative
-/// timings, at least one identity check per row, non-empty results.
+/// a provenance block, required fields present with the right JSON types,
+/// finite non-negative timings, at least one identity check per row,
+/// non-empty results.
 /// Returns the first violation found.
 pub fn validate_json(v: &Value) -> Result<(), String> {
     match field(v, "schema_version") {
@@ -337,6 +347,7 @@ pub fn validate_json(v: &Value) -> Result<(), String> {
     if !matches!(field(v, "smoke"), Some(Value::Bool(_))) {
         return Err("missing smoke flag".into());
     }
+    provenance::validate(field(v, "provenance").unwrap_or(&Value::Null))?;
     let results = match field(v, "results") {
         Some(Value::Array(rows)) => rows,
         _ => return Err("missing results array".into()),
@@ -359,11 +370,11 @@ pub fn validate_json(v: &Value) -> Result<(), String> {
         }
         for key in [
             "table_build_s",
-            "sequential_s",
-            "parallel_s",
-            "sequential_inj_per_s",
-            "parallel_inj_per_s",
-            "speedup",
+            "refsim_s",
+            "engine_s",
+            "refsim_inj_per_s",
+            "engine_inj_per_s",
+            "speedup_vs_refsim",
             "measured_utilization",
             "mean_slowdown",
         ] {
@@ -393,7 +404,7 @@ mod tests {
         for row in &report.results {
             assert!(row.injections > 0);
             assert!(row.identity_checks >= 3);
-            assert!(row.sequential_s > 0.0 && row.parallel_s > 0.0);
+            assert!(row.refsim_s > 0.0 && row.engine_s > 0.0);
             assert!(row.mean_slowdown >= 1.0);
         }
     }
@@ -405,9 +416,11 @@ mod tests {
         let Value::Object(fields) = tree.clone() else {
             panic!("report serializes to an object");
         };
-        let without_smoke =
-            Value::Object(fields.into_iter().filter(|(k, _)| k != "smoke").collect());
-        assert!(validate_json(&without_smoke).unwrap_err().contains("smoke"));
+        let without =
+            |key: &str| Value::Object(fields.iter().filter(|(k, _)| k != key).cloned().collect());
+        for key in ["smoke", "provenance"] {
+            assert!(validate_json(&without(key)).unwrap_err().contains(key));
+        }
 
         let Value::Object(fields) = tree else {
             panic!("report serializes to an object");

@@ -1,50 +1,50 @@
-//! The parallel temporal simulation engine.
+//! The temporal simulation engine.
 //!
-//! ## Sharded event queues with conservative time windows
+//! ## One in-order pass over CSR slot lists
 //!
-//! The canonical injection order (time, then tie-breakers — see
-//! [`Injection::canonical_cmp`]) is cut into contiguous **time windows**
-//! of [`SimExec::window`] injections. Windows are synchronization
-//! barriers, processed one after another; inside a window, messages run
-//! concurrently under an exact dependency DAG:
+//! Injections are retired one at a time in the canonical order
+//! ([`Injection::canonical_cmp`]); each message's outcome is folded into
+//! the report the moment it retires (`report::ReportAcc`), so no per-message
+//! outcome array is kept. Input that is already canonical — as
+//! [`expand_trace`] output always is — is borrowed, not copied and
+//! re-sorted.
 //!
-//! * every message's route is translated into directed-link *slots*
-//!   (`2·link + direction`) via the PR 3 CSR route tables
-//!   ([`RoutedTopology`]). On machines small enough for a dense pair
-//!   index, each unique (src node, dst node) pair's slot chain is
-//!   resolved **once** into a shared arena and every injection holds a
-//!   range into it — the PR 3 node-pair deduplication carried over to
-//!   the temporal engine. Larger machines fall back to per-window route
-//!   walks in parallel chunks concatenated in order;
-//! * a sequential sweep chains each slot's users in injection order — a
-//!   message depends on the *immediately preceding* user of each of its
-//!   slots (its window-local predecessors; earlier windows are already
-//!   fully drained into `free_at`);
-//! * a worker pool retires messages the moment their last predecessor
-//!   finishes. Two messages are concurrently runnable only when their
-//!   slot sets are disjoint, so every `free_at`/busy update touches
-//!   state no other in-flight message can reach, and each message's
-//!   float arithmetic consumes exactly the operand values the sequential
-//!   replay would have produced.
+//! Every message's route is translated into directed-link *slots*
+//! (`2·link + direction`) from the precomputed CSR route tables
+//! ([`RoutedTopology`]), in batches of [`SimExec::window`] injections:
 //!
-//! The result is not "close" to the sequential engine — it is
-//! **byte-identical** to [`crate::refsim::simulate_reference`] at every
-//! worker count and window size, which `netloc-testkit`'s sim oracle and
-//! `repro bench-sim` assert before any timing. The speedup comes from two
-//! places: CSR route lookups replace per-hop routing arithmetic (the PR 3
-//! effect), and independent messages retire on all cores (the wavefronts
-//! of real traffic are wide — contention is per-link, not global).
+//! * on machines small enough for a dense (src node × dst node) pair
+//!   index, each unique pair's slot chain is resolved **once** into an
+//!   arena that persists across batches, and a batch only looks its
+//!   pairs up — the node-pair deduplication of the static replay carried
+//!   over to the temporal engine;
+//! * larger machines walk each batch's routes afresh, split over
+//!   [`SimExec::workers`] threads and concatenated in order.
+//!
+//! The result is **byte-identical** to
+//! [`crate::refsim::simulate_reference`] at every worker count and
+//! window size, which `netloc-testkit`'s sim oracle and `repro
+//! bench-sim` assert before any timing. The speedup over the reference
+//! comes from CSR route lookups and the pair arena replacing per-message
+//! routing arithmetic.
+//!
+//! Earlier versions retired each window's messages concurrently under a
+//! per-slot dependency DAG drained by a worker pool. On a 2-core machine
+//! that pool was 1.8–3.2× slower than the same engine retiring in order
+//! (best of 3 on the 1.05M-injection `repro bench-sim` inputs, e.g.
+//! 0.57 s against 0.24 s on the torus): the kernel does a handful of
+//! float operations per hop, less than the chaining sweep, atomic
+//! dependency counts and queue traffic each message cost. It was removed.
 
 use crate::expand::{canonicalize, expand_trace, Injection};
-use crate::kernel::{process_message, slots_of_route, F64Slots, MsgOutcome, SlotState};
-use crate::report::SimReport;
+use crate::kernel::{process_message, slots_of_route, SlotState};
+use crate::report::{ReportAcc, SimReport};
 use crate::windows::WindowGrid;
 use netloc_core::netmodel::LINK_BANDWIDTH_BYTES_PER_S;
 use netloc_mpi::Trace;
-use netloc_topology::{Link, Mapping, RoutedTopology, Topology};
+use netloc_topology::{Link, LinkId, Mapping, RoutedTopology, Topology};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::borrow::Cow;
 
 /// How messages occupy the links of their route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,7 +70,8 @@ pub struct SimConfig {
     /// static model has no latency constant; a small value keeps ordering
     /// effects realistic without dominating the bandwidth term.
     pub hop_latency_s: f64,
-    /// Cap on expanded injections (larger traces are subsampled).
+    /// Cap on expanded injections; see [`expand_trace`] for how a larger
+    /// trace is strided and then truncated.
     pub max_injections: usize,
     /// Optional explicit rank→node mapping; consecutive if `None`.
     pub mapping: Option<Mapping>,
@@ -95,159 +96,95 @@ impl Default for SimConfig {
 }
 
 /// Execution strategy of [`simulate_parallel`]. The results are invariant
-/// to every field — these trade wall-clock time only. The default (all
-/// zeros) means "auto": rayon's worker cap and
+/// to every field — these trade wall-clock time and scratch memory only.
+/// The default (all zeros) means "auto": rayon's worker cap and
 /// [`DEFAULT_WINDOW_INJECTIONS`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimExec {
-    /// Worker threads; 0 picks the rayon worker cap
-    /// ([`rayon::max_workers`]).
+    /// Threads that walk a batch's routes on machines too large for the
+    /// dense pair index; 0 picks the rayon worker cap
+    /// ([`rayon::max_workers`]). Messages always retire on one thread.
     pub workers: usize,
-    /// Injections per synchronization window; 0 picks
-    /// [`DEFAULT_WINDOW_INJECTIONS`].
+    /// Injections per batch whose slot lists are resolved together; 0
+    /// picks [`DEFAULT_WINDOW_INJECTIONS`].
     pub window: usize,
 }
 
-/// Default injections per conservative time window. Large enough that
-/// per-window pool setup amortizes at the million-event scale, small
-/// enough that the window-local scratch (one `u32` per route hop) stays
-/// in-cache.
+/// Default injections per slot-resolution batch: large enough that a
+/// batch's route walks split well over threads, small enough that the
+/// batch's slot lists stay in cache.
 pub const DEFAULT_WINDOW_INJECTIONS: usize = 65_536;
-
-/// Below this many messages in a window the pooled executor costs more
-/// than it saves; the window runs on one thread (same results).
-const PAR_THRESHOLD: usize = 256;
-
-/// "No successor" marker in the per-occurrence successor array.
-const NO_SUCC: u32 = u32::MAX;
 
 /// Cap on the dense (src node × dst node) pair-index size, in entries
 /// (16 MiB of `u32`). Machines under the cap get node-pair deduplicated
-/// slot lists; larger ones fall back to per-window route walks.
+/// slot lists; larger ones walk every batch's routes.
 const PAIR_INDEX_CAP: usize = 1 << 22;
 
 /// Node-pair deduplicated slot lists: every unique (src node, dst node)
-/// pair's directed-link slot chain lives once in `arena`, and each
-/// injection carries its `(start, len)` range. The slot *values* are
-/// exactly what [`slots_of_route`] produces, so sharing them cannot
-/// perturb a single bit of the simulation.
-struct PairSlots {
-    /// Per-injection `(start, len)` into `arena`, in canonical order.
-    ranges: Vec<(u32, u32)>,
-    /// Concatenated slot chains, one entry per unique pair.
-    arena: Vec<u32>,
-}
-
-/// Resolve every injection to a range in a deduplicated slot arena, or
-/// `None` when the machine is too large for the dense pair index.
-fn build_pair_slots(
-    inj: &[Injection],
-    mapping: &Mapping,
-    routed: &RoutedTopology<'_>,
-    links: &[Link],
+/// pair's directed-link slot chain lives once in `arena`. The slot
+/// *values* are exactly what [`slots_of_route`] produces, so sharing them
+/// cannot perturb a single bit of the simulation.
+struct PairArena {
     num_nodes: usize,
-) -> Option<PairSlots> {
-    let pairs = num_nodes.checked_mul(num_nodes)?;
-    if pairs > PAIR_INDEX_CAP {
-        return None;
-    }
-    let mut index = vec![u32::MAX; pairs];
-    let mut offs: Vec<u32> = vec![0];
-    let mut arena: Vec<u32> = Vec::new();
-    let mut scratch = Vec::new();
-    let mut ranges = Vec::with_capacity(inj.len());
-    for m in inj {
-        let (ns, nd) = (
-            mapping.node_of(m.src as usize),
-            mapping.node_of(m.dst as usize),
-        );
-        let key = ns.0 as usize * num_nodes + nd.0 as usize;
-        let mut id = index[key];
-        if id == u32::MAX {
-            let route = routed.route_of(ns, nd, &mut scratch);
-            slots_of_route(route, links, ns.0, &mut arena);
-            offs.push(arena.len() as u32);
-            id = (offs.len() - 2) as u32;
-            index[key] = id;
-        }
-        let start = offs[id as usize];
-        ranges.push((start, offs[id as usize + 1] - start));
-    }
-    Some(PairSlots { ranges, arena })
+    /// Dense pair index → id into `offs`; `u32::MAX` when unresolved.
+    index: Vec<u32>,
+    /// Pair `id`'s chain is `arena[offs[id]..offs[id + 1]]`.
+    offs: Vec<u32>,
+    /// Concatenated slot chains, one per unique pair.
+    arena: Vec<u32>,
+    scratch: Vec<LinkId>,
 }
 
-/// Where a window's slot lists live: either a window-local build (the
-/// large-machine fallback) or ranges into the deduplicated arena.
-enum SlotLists<'a> {
-    /// `slots[offs[j]..offs[j+1]]`, as built by [`build_slot_lists`].
-    Inline(&'a [u32]),
-    /// `arena[start..start+len]` per message, from [`PairSlots`].
-    Arena {
-        /// Window slice of [`PairSlots::ranges`].
-        ranges: &'a [(u32, u32)],
-        /// The shared arena.
-        arena: &'a [u32],
-    },
-}
-
-/// Per-message outcome storage the workers write into (disjoint indices).
-struct OutcomeSlots {
-    completion: F64Slots,
-    queueing: F64Slots,
-    offered: F64Slots,
-}
-
-impl OutcomeSlots {
-    fn new(n: usize) -> Self {
-        OutcomeSlots {
-            completion: F64Slots::zeroed(n),
-            queueing: F64Slots::zeroed(n),
-            offered: F64Slots::zeroed(n),
-        }
+impl PairArena {
+    /// An empty arena, or `None` when the machine is too large for the
+    /// dense pair index.
+    fn new(num_nodes: usize) -> Option<Self> {
+        let pairs = num_nodes.checked_mul(num_nodes)?;
+        (pairs <= PAIR_INDEX_CAP).then(|| PairArena {
+            num_nodes,
+            index: vec![u32::MAX; pairs],
+            offs: vec![0],
+            arena: Vec::new(),
+            scratch: Vec::new(),
+        })
     }
 
-    #[inline]
-    fn set(&self, i: usize, out: MsgOutcome) {
-        self.completion.set(i, out.completion);
-        self.queueing.set(i, out.queueing);
-        self.offered.set(i, out.offered);
-    }
-
-    fn get(&self, i: usize) -> MsgOutcome {
-        MsgOutcome {
-            completion: self.completion.get(i),
-            queueing: self.queueing.get(i),
-            offered: self.offered.get(i),
+    /// Push every message's `(start, len)` range into the arena onto
+    /// `ranges`, resolving pairs seen for the first time.
+    fn resolve(
+        &mut self,
+        batch: &[Injection],
+        mapping: &Mapping,
+        routed: &RoutedTopology<'_>,
+        links: &[Link],
+        ranges: &mut Vec<(u32, u32)>,
+    ) {
+        for m in batch {
+            let (ns, nd) = (
+                mapping.node_of(m.src as usize),
+                mapping.node_of(m.dst as usize),
+            );
+            let key = ns.0 as usize * self.num_nodes + nd.0 as usize;
+            let mut id = self.index[key];
+            if id == u32::MAX {
+                let route = routed.route_of(ns, nd, &mut self.scratch);
+                slots_of_route(route, links, ns.0, &mut self.arena);
+                self.offs.push(self.arena.len() as u32);
+                id = (self.offs.len() - 2) as u32;
+                self.index[key] = id;
+            }
+            let start = self.offs[id as usize];
+            ranges.push((start, self.offs[id as usize + 1] - start));
         }
     }
 }
 
-/// Reused per-window scratch for the slot-chain sweep, epoch-stamped so
-/// no O(slots) clear happens between windows.
-struct ChainScratch {
-    last_epoch: Vec<u64>,
-    last_occ: Vec<u32>,
-    last_msg: Vec<u32>,
-    epoch: u64,
-}
-
-impl ChainScratch {
-    fn new(slots: usize) -> Self {
-        ChainScratch {
-            last_epoch: vec![0; slots],
-            last_occ: vec![0; slots],
-            last_msg: vec![0; slots],
-            epoch: 0,
-        }
-    }
-}
-
-/// Simulate a list of injections over precomputed routes, in parallel.
+/// Simulate a list of injections over precomputed routes.
 ///
-/// See the module docs for the windowed-synchronization scheme. The
-/// report is byte-identical to [`crate::simulate_reference`] for every
-/// `exec` (worker count and window size) and every supplied injection
-/// order — both engines canonicalize the order first.
+/// See the module docs for the in-order pass. The report is
+/// byte-identical to [`crate::simulate_reference`] for every `exec`
+/// (worker count and window size) and every supplied injection order —
+/// both engines process the canonical order.
 pub fn simulate_parallel(
     routed: &RoutedTopology<'_>,
     mapping: &Mapping,
@@ -257,90 +194,65 @@ pub fn simulate_parallel(
 ) -> SimReport {
     let topo = routed.topology();
     let links = topo.links();
-    let num_links = links.len();
-    let inj = canonicalize(injections);
+    let inj: Cow<'_, [Injection]> = if injections.is_sorted_by(|a, b| a.canonical_cmp(b).is_le()) {
+        Cow::Borrowed(injections)
+    } else {
+        Cow::Owned(canonicalize(injections))
+    };
     let n = inj.len();
 
     let horizon = inj.last().map(|i| i.time).unwrap_or(0.0);
     let wcount = if n == 0 { 0 } else { cfg.report_windows };
-    let st = SlotState::new(num_links, WindowGrid::covering(horizon, wcount));
-    let out = OutcomeSlots::new(n);
+    let mut st = SlotState::new(links.len(), WindowGrid::covering(horizon, wcount));
+    let mut acc = ReportAcc::new(&st.grid);
 
     let window = if exec.window == 0 {
         DEFAULT_WINDOW_INJECTIONS
     } else {
         exec.window
     };
-    let max_workers = if exec.workers == 0 {
+    let workers = if exec.workers == 0 {
         rayon::max_workers()
     } else {
         exec.workers
     };
-    let mut chains = ChainScratch::new(2 * num_links);
-    let cache = build_pair_slots(&inj, mapping, routed, links, topo.num_nodes());
-
-    let mut base = 0usize;
-    while base < n {
-        let end = (base + window).min(n);
-        let chunk = &inj[base..end];
-        // Giving every worker at least a few dozen messages bounds pool
-        // overhead on tiny windows; 1 worker short-circuits to the
-        // in-order sequential walk (identical results either way).
-        let workers = max_workers.min(chunk.len() / 64).max(1);
-        let (offs, inline_slots) = match &cache {
-            // Deduplicated path: the slot chains already exist in the
-            // arena; only the occurrence prefix sums are per-window.
-            Some(c) => {
-                let mut offs = Vec::with_capacity(chunk.len() + 1);
-                offs.push(0u32);
-                let mut acc = 0u32;
-                for &(_, len) in &c.ranges[base..end] {
-                    acc += len;
-                    offs.push(acc);
-                }
-                (offs, Vec::new())
+    let mut pairs = PairArena::new(topo.num_nodes());
+    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(window.min(n));
+    for batch in inj.chunks(window) {
+        ranges.clear();
+        let walked;
+        let slots: &[u32] = match &mut pairs {
+            Some(p) => {
+                p.resolve(batch, mapping, routed, links, &mut ranges);
+                &p.arena
             }
-            None => build_slot_lists(chunk, mapping, routed, links, workers),
+            None => {
+                walked = walk_slot_lists(batch, mapping, routed, links, workers, &mut ranges);
+                &walked
+            }
         };
-        let lists = match &cache {
-            Some(c) => SlotLists::Arena {
-                ranges: &c.ranges[base..end],
-                arena: &c.arena,
-            },
-            None => SlotLists::Inline(&inline_slots),
-        };
-        let shard = Shard {
-            chunk,
-            base,
-            offs: &offs,
-            lists,
-            cfg,
-            st: &st,
-            out: &out,
-        };
-        if workers == 1 || chunk.len() < PAR_THRESHOLD {
-            shard.run_sequential();
-        } else {
-            shard.run_pooled(workers, &mut chains);
+        for (m, &(start, len)) in batch.iter().zip(&ranges) {
+            let slots = &slots[start as usize..(start + len) as usize];
+            let out = process_message(m, slots, cfg, &mut st);
+            acc.add(m, &out);
         }
-        base = end;
     }
-
-    let outcomes: Vec<MsgOutcome> = (0..n).map(|i| out.get(i)).collect();
-    SimReport::build(&inj, &outcomes, &st, num_links)
+    acc.finish(&st)
 }
 
-/// Resolve every message of `chunk` to its directed-link slot list (CSR:
-/// `slots[offs[i]..offs[i+1]]`), reading routes from the precomputed
-/// tables. Parallel over sub-chunks, concatenated in order — the slot
-/// lists are identical to a sequential walk.
-fn build_slot_lists(
-    chunk: &[Injection],
+/// Walk every message of `batch` to its directed-link slot list, reading
+/// routes from the precomputed tables: returns the concatenated lists
+/// and pushes each message's `(start, len)` onto `ranges`. The batch is
+/// split over `workers` threads and concatenated in order — the lists
+/// are identical to a sequential walk.
+fn walk_slot_lists(
+    batch: &[Injection],
     mapping: &Mapping,
     routed: &RoutedTopology<'_>,
     links: &[Link],
     workers: usize,
-) -> (Vec<u32>, Vec<u32>) {
+    ranges: &mut Vec<(u32, u32)>,
+) -> Vec<u32> {
     let per_msg = |msgs: &[Injection]| {
         let mut scratch = Vec::new();
         let mut lens: Vec<u32> = Vec::with_capacity(msgs.len());
@@ -357,145 +269,27 @@ fn build_slot_lists(
         }
         (lens, slots)
     };
-    let (lens, slots) = if workers > 1 && chunk.len() >= PAR_THRESHOLD {
-        let sub = chunk.len().div_ceil(workers * 4).max(64);
-        chunk.par_chunks(sub).map(per_msg).reduce(
-            || (Vec::new(), Vec::new()),
-            |mut a, mut b| {
-                a.0.append(&mut b.0);
-                a.1.append(&mut b.1);
-                a
-            },
-        )
+    let (lens, slots) = if workers > 1 {
+        batch
+            .par_chunks(batch.len().div_ceil(workers))
+            .map(per_msg)
+            .reduce(
+                || (Vec::new(), Vec::new()),
+                |mut a, mut b| {
+                    a.0.append(&mut b.0);
+                    a.1.append(&mut b.1);
+                    a
+                },
+            )
     } else {
-        per_msg(chunk)
+        per_msg(batch)
     };
-    let mut offs = Vec::with_capacity(lens.len() + 1);
-    offs.push(0u32);
-    let mut acc = 0u32;
+    let mut start = 0u32;
     for len in lens {
-        acc += len;
-        offs.push(acc);
+        ranges.push((start, len));
+        start += len;
     }
-    (offs, slots)
-}
-
-/// One window's worth of work, bound to the shared simulation state.
-struct Shard<'a> {
-    chunk: &'a [Injection],
-    base: usize,
-    /// Occurrence prefix sums: message `j` owns window-local occurrence
-    /// indices `offs[j]..offs[j+1]` (the successor array's index space).
-    offs: &'a [u32],
-    lists: SlotLists<'a>,
-    cfg: &'a SimConfig,
-    st: &'a SlotState,
-    out: &'a OutcomeSlots,
-}
-
-impl Shard<'_> {
-    #[inline]
-    fn slot_range(&self, j: usize) -> &[u32] {
-        match self.lists {
-            SlotLists::Inline(slots) => &slots[self.offs[j] as usize..self.offs[j + 1] as usize],
-            SlotLists::Arena { ranges, arena } => {
-                let (start, len) = ranges[j];
-                &arena[start as usize..(start + len) as usize]
-            }
-        }
-    }
-
-    #[inline]
-    fn retire(&self, j: usize) {
-        let out = process_message(&self.chunk[j], self.slot_range(j), self.cfg, self.st);
-        self.out.set(self.base + j, out);
-    }
-
-    /// Ascending injection index is a topological order of the slot-chain
-    /// DAG (every edge points forward), so the plain loop is exact.
-    fn run_sequential(&self) {
-        for j in 0..self.chunk.len() {
-            self.retire(j);
-        }
-    }
-
-    /// Chain each slot's users in injection order, then drain the DAG
-    /// with a pool of scoped workers sharing a ready queue.
-    fn run_pooled(&self, workers: usize, chains: &mut ChainScratch) {
-        let n = self.chunk.len();
-        chains.epoch += 1;
-        let mut succ = vec![NO_SUCC; self.offs[n] as usize];
-        let mut dep_count = vec![0u32; n];
-        for (j, deps) in dep_count.iter_mut().enumerate() {
-            let occ_base = self.offs[j] as usize;
-            for (k, &slot) in self.slot_range(j).iter().enumerate() {
-                let o = occ_base + k;
-                let s = slot as usize;
-                if chains.last_epoch[s] == chains.epoch {
-                    // Routes are link-disjoint walks, but a hostile route
-                    // could revisit a slot: never depend on yourself.
-                    if chains.last_msg[s] != j as u32 {
-                        succ[chains.last_occ[s] as usize] = j as u32;
-                        *deps += 1;
-                    }
-                } else {
-                    chains.last_epoch[s] = chains.epoch;
-                }
-                chains.last_occ[s] = o as u32;
-                chains.last_msg[s] = j as u32;
-            }
-        }
-
-        let ready: Vec<u32> = (0..n as u32)
-            .filter(|&j| dep_count[j as usize] == 0)
-            .collect();
-        let deps: Vec<AtomicU32> = dep_count.into_iter().map(AtomicU32::new).collect();
-        let queue = Mutex::new(ready);
-        let remaining = AtomicUsize::new(n);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut batch: Vec<u32> = Vec::with_capacity(16);
-                    let mut newly: Vec<u32> = Vec::new();
-                    loop {
-                        {
-                            let mut q = queue.lock().expect("sim queue poisoned");
-                            let keep = q.len() - q.len().min(16);
-                            batch.extend(q.drain(keep..));
-                        }
-                        if batch.is_empty() {
-                            if remaining.load(Ordering::Acquire) == 0 {
-                                return;
-                            }
-                            std::hint::spin_loop();
-                            std::thread::yield_now();
-                            continue;
-                        }
-                        for &j in &batch {
-                            let j = j as usize;
-                            self.retire(j);
-                            let occ = self.offs[j] as usize..self.offs[j + 1] as usize;
-                            for &k in &succ[occ] {
-                                if k != NO_SUCC
-                                    && deps[k as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                                {
-                                    newly.push(k);
-                                }
-                            }
-                        }
-                        remaining.fetch_sub(batch.len(), Ordering::Release);
-                        batch.clear();
-                        if !newly.is_empty() {
-                            let mut q = queue.lock().expect("sim queue poisoned");
-                            q.append(&mut newly);
-                        }
-                    }
-                });
-            }
-        });
-        debug_assert_eq!(remaining.load(Ordering::Acquire), 0);
-    }
+    slots
 }
 
 /// Simulate a list of injections over a topology.
@@ -675,7 +469,7 @@ mod tests {
     }
 
     /// A deterministic seeded mix of point-to-point messages with enough
-    /// volume to exercise the pooled executor across several windows.
+    /// volume to span several slot-resolution batches.
     fn crowded(n: usize, ranks: u32) -> Vec<Injection> {
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         (0..n)
@@ -734,6 +528,44 @@ mod tests {
         let got = simulate_parallel(&routed, &m, &msgs, &cfg(), &SimExec::default());
         assert_eq!(got, reference);
         assert_eq!(simulate_reference(&topo, &m, &msgs, &cfg()), reference);
+    }
+
+    #[test]
+    fn route_walks_above_the_pair_index_cap_match_reference() {
+        // 2304 nodes: 2304² pairs exceed PAIR_INDEX_CAP, so every batch
+        // walks its routes instead of using the pair arena.
+        let topo = Torus3D::new([16, 16, 9]);
+        assert!(topo.num_nodes() * topo.num_nodes() > PAIR_INDEX_CAP);
+        let m = Mapping::consecutive(2304, 2304);
+        let msgs = crowded(3_000, 2304);
+        let routed = RoutedTopology::auto(&topo);
+        for forwarding in [Forwarding::StoreAndForward, Forwarding::CutThrough] {
+            let mut c = cfg();
+            c.forwarding = forwarding;
+            c.hop_latency_s = 100e-9;
+            let reference = simulate_reference(&topo, &m, &msgs, &c);
+            for workers in [1usize, 2, 0] {
+                for window in [1usize, 7, 0] {
+                    let exec = SimExec { workers, window };
+                    let got = simulate_parallel(&routed, &m, &msgs, &c, &exec);
+                    assert_eq!(
+                        got, reference,
+                        "{forwarding:?} diverged at workers={workers} window={window}"
+                    );
+                }
+            }
+            let mut reversed = msgs.clone();
+            reversed.reverse();
+            let exec = SimExec {
+                workers: 2,
+                window: 7,
+            };
+            assert_eq!(
+                simulate_parallel(&routed, &m, &reversed, &c, &exec),
+                reference,
+                "{forwarding:?} diverged on reversed input"
+            );
+        }
     }
 
     #[test]

@@ -47,14 +47,21 @@ pub(crate) fn canonicalize(injections: &[Injection]) -> Vec<Injection> {
 /// p2p with the paper's rules, every translated message injected at the
 /// call's time. Self-messages are dropped.
 ///
-/// `max_injections` caps the expansion: when the full expansion would
-/// exceed it, repeats are subsampled uniformly (every k-th instance kept,
-/// bytes unchanged) — the report notes the sampling factor. The cap is
-/// also enforced as a hard bound on the output length (the stride math
-/// alone can overshoot by up to one injection per event), so a corrupted
-/// repeat count can never drive an unbounded allocation — the same
-/// "clamp count-driven growth to what the caller asked for" discipline
-/// the binary trace reader applies to length prefixes.
+/// `max_injections` caps the expansion, in two steps. When the full
+/// expansion would exceed it, every event keeps only instances 0, k, 2k, …
+/// of its repeats (bytes unchanged), with the stride k reported as
+/// `sample_stride`. That is not a uniform sample of the trace: an event
+/// with fewer than k repeats still keeps its first instance, so the
+/// strided expansion can stay far above the cap. The cap is then
+/// enforced as a hard bound on the output length by dropping every event
+/// after the one that reaches it, in trace order — for a time-ordered
+/// trace the result covers only a time prefix of its events. (A
+/// 2M-event, 12.5 s stencil trace with repeats 1–7 gets stride 10 at
+/// the default 2M cap; its events after t ≈ 3.5 s are dropped, and the
+/// last injection falls at t ≈ 5.8 s.) The hard bound also means a
+/// corrupted repeat count can never drive an unbounded allocation — the
+/// same "clamp count-driven growth to what the caller asked for"
+/// discipline the binary trace reader applies to length prefixes.
 /// Returns `(injections, sample_stride)`.
 pub fn expand_trace(trace: &Trace, max_injections: usize) -> (Vec<Injection>, u64) {
     assert!(max_injections > 0);

@@ -1,60 +1,28 @@
-//! The per-message forwarding kernel of the sharded parallel engine
-//! ([`crate::engine`]).
+//! The per-message forwarding kernel both engines share.
 //!
 //! Byte-identical reports require byte-identical float arithmetic:
 //! [`process_message`] evaluates the same expressions in the same
 //! per-slot order as the independently-written reference walk in
 //! [`crate::refsim`] — the differential oracle in `netloc-testkit` is
-//! what keeps the two in lockstep. The storage is a plain `f64` array
-//! behind relaxed `AtomicU64` bit-casts — on every supported target a
-//! relaxed atomic load/store compiles to the same `mov` as a plain one,
-//! so the reference engine pays nothing for sharing the type, and the
-//! parallel engine gets race-free shared access without `unsafe`. The
-//! scheduler (not the memory orderings) guarantees exclusivity: a message
-//! only runs once every earlier user of each of its slots has finished,
-//! and messages that run concurrently own pairwise-disjoint slots.
+//! what keeps the two in lockstep. Messages retire one at a time in
+//! canonical injection order, so the slot state is plain `f64` arrays
+//! behind `&mut`.
 
 use crate::engine::{Forwarding, SimConfig};
 use crate::expand::Injection;
 use crate::windows::WindowGrid;
 use netloc_topology::{Link, LinkId};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fixed-size `f64` array usable from one thread or many (under the
-/// engine's exclusivity discipline). Indexing is by slot.
-pub(crate) struct F64Slots(Vec<AtomicU64>);
-
-impl F64Slots {
-    pub(crate) fn zeroed(n: usize) -> Self {
-        F64Slots((0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect())
-    }
-
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> f64 {
-        f64::from_bits(self.0[i].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    pub(crate) fn set(&self, i: usize, v: f64) {
-        self.0[i].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add(&self, i: usize, v: f64) {
-        self.set(i, self.get(i) + v);
-    }
-}
-
-/// Shared mutable simulation state, indexed by directed-link slot
+/// Mutable simulation state, indexed by directed-link slot
 /// (`2·link + direction`).
 pub(crate) struct SlotState {
     /// When each slot next becomes free, seconds.
-    pub free_at: F64Slots,
-    /// Accumulated busy seconds per slot, in slot-chain order.
-    pub busy: F64Slots,
+    pub free_at: Vec<f64>,
+    /// Accumulated busy seconds per slot, in injection order.
+    pub busy: Vec<f64>,
     /// Busy seconds per (slot, window), slot-major:
     /// `win_busy[slot · grid.count() + w]`.
-    pub win_busy: F64Slots,
+    pub win_busy: Vec<f64>,
     /// The window grid occupancy is charged against.
     pub grid: WindowGrid,
 }
@@ -63,23 +31,24 @@ impl SlotState {
     pub(crate) fn new(num_links: usize, grid: WindowGrid) -> Self {
         let slots = 2 * num_links;
         SlotState {
-            free_at: F64Slots::zeroed(slots),
-            busy: F64Slots::zeroed(slots),
-            win_busy: F64Slots::zeroed(slots * grid.count()),
+            free_at: vec![0.0; slots],
+            busy: vec![0.0; slots],
+            win_busy: vec![0.0; slots * grid.count()],
             grid,
         }
     }
 
     /// Charge `[start, end)` on `slot` to the window grid.
     #[inline]
-    fn charge(&self, slot: usize, start: f64, end: f64) {
+    fn charge(&mut self, slot: usize, start: f64, end: f64) {
         let w = self.grid.count();
         if w == 0 {
             return;
         }
         let base = slot * w;
+        let win_busy = &mut self.win_busy;
         self.grid
-            .attribute(start, end, |win, s| self.win_busy.add(base + win, s));
+            .attribute(start, end, |win, s| win_busy[base + win] += s);
     }
 }
 
@@ -120,15 +89,15 @@ pub(crate) fn slots_of_route(
 /// the instant every slot is free. Updates `free_at`, per-slot busy and
 /// per-(slot, window) busy, and returns the message outcome.
 ///
-/// The float operations here are the *only* place simulated time is
-/// produced, in a fixed per-slot order — which is what makes the parallel
-/// engine bit-reproducible against the reference.
+/// The float operations here are the *only* place the engine produces
+/// simulated time, in a fixed per-slot order — which is what makes it
+/// bit-reproducible against the reference.
 #[inline]
 pub(crate) fn process_message(
     inj: &Injection,
     slots: &[u32],
     cfg: &SimConfig,
-    st: &SlotState,
+    st: &mut SlotState,
 ) -> MsgOutcome {
     let hops = slots.len() as f64;
     match cfg.forwarding {
@@ -137,10 +106,10 @@ pub(crate) fn process_message(
             let mut t = inj.time;
             for &s in slots {
                 let s = s as usize;
-                let start = t.max(st.free_at.get(s));
+                let start = t.max(st.free_at[s]);
                 let end = start + serialize;
-                st.free_at.set(s, end);
-                st.busy.add(s, serialize);
+                st.free_at[s] = end;
+                st.busy[s] += serialize;
                 st.charge(s, start, end);
                 t = end;
             }
@@ -154,14 +123,14 @@ pub(crate) fn process_message(
         Forwarding::CutThrough => {
             let mut start = inj.time;
             for &s in slots {
-                start = start.max(st.free_at.get(s as usize));
+                start = start.max(st.free_at[s as usize]);
             }
             let occupy = inj.bytes as f64 / cfg.bandwidth;
             let end = start + occupy + hops * cfg.hop_latency_s;
             for &s in slots {
                 let s = s as usize;
-                st.free_at.set(s, end);
-                st.busy.add(s, occupy);
+                st.free_at[s] = end;
+                st.busy[s] += occupy;
                 st.charge(s, start, start + occupy);
             }
             let uncontended = inj.time + occupy + hops * cfg.hop_latency_s;

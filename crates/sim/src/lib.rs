@@ -17,17 +17,19 @@
 //! contention, per-window utilization against the static Eq. 5 bound, and
 //! the slack between injection and completion.
 //!
-//! Two engines share one forwarding kernel and one report reduction:
+//! Two engines share one forwarding kernel and one report accumulator:
 //!
 //! * [`simulate_reference`] — the single-threaded reference (`refsim`),
 //!   routes computed per message;
-//! * [`simulate_parallel`] — sharded time windows over precomputed CSR
-//!   route tables, drained by a worker pool under an exact per-link
-//!   dependency DAG.
+//! * [`simulate_parallel`] — one in-order pass over precomputed CSR
+//!   route tables, with slot lists deduplicated per node pair and each
+//!   message's outcome folded into the report as it retires. Its
+//!   `SimExec` only sizes the slot-resolution batches and the threads
+//!   that walk routes on machines too large for the pair index.
 //!
-//! The parallel engine is **byte-identical** to the reference at every
-//! worker count and window size; `netloc verify` enforces that over the
-//! whole test corpus.
+//! The engine is **byte-identical** to the reference at every worker
+//! count and window size; `netloc verify` enforces that over the whole
+//! test corpus.
 //!
 //! ```
 //! use netloc_mpi::{Rank, TraceBuilder};

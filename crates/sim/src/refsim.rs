@@ -1,9 +1,10 @@
 //! The sequential reference engine — `refsim`.
 //!
 //! This is a deliberately independent re-implementation of the temporal
-//! simulation, kept as the trusted baseline the sharded parallel engine
-//! is verified against, exactly as `netloc_core::refmodel` anchors the
-//! static replay: one thread, injections in canonical order, a fresh
+//! simulation, kept as the trusted baseline the CSR engine
+//! ([`crate::engine`]) is verified against, exactly as
+//! `netloc_core::refmodel` anchors the static replay: one thread,
+//! injections in canonical order, a fresh
 //! route allocated per message by [`Topology::route`] (no CSR tables, no
 //! preallocated buffers), directions recomputed per hop, and window
 //! attribution done as a transparent scan over *every* window instead of
@@ -11,9 +12,9 @@
 //! an oracle comes from staying simple enough to be obviously correct.
 //!
 //! The float arithmetic — and therefore every produced bit — is the same
-//! as the parallel engine's kernel: the same expressions evaluated in the
-//! same per-slot order, writing the same storage layout, reduced by the
-//! same [`SimReport::build`]. The contract — enforced by
+//! as the engine's kernel: the same expressions evaluated in the same
+//! per-slot order, writing the same storage layout, reduced by the same
+//! [`SimReport::build`] accumulator. The contract — enforced by
 //! `netloc-testkit`'s sim oracle, the root property tests, and every
 //! `repro bench-sim` cell — is that [`crate::simulate_parallel`] returns
 //! a [`SimReport`] **byte-identical** to this function at every worker
@@ -35,7 +36,7 @@ use netloc_topology::{Mapping, Topology};
 // `!(end > start)` mirrors [`WindowGrid::attribute`]'s guard exactly: a
 // NaN bound must also charge nothing.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-fn charge_scan(st: &SlotState, grid: &WindowGrid, slot: usize, start: f64, end: f64) {
+fn charge_scan(st: &mut SlotState, grid: &WindowGrid, slot: usize, start: f64, end: f64) {
     let count = grid.count();
     if count == 0 || !(end > start) {
         return;
@@ -49,7 +50,7 @@ fn charge_scan(st: &SlotState, grid: &WindowGrid, slot: usize, start: f64, end: 
         let lo = if w == first { start } else { grid.start_of(w) };
         let hi = if w == last { end } else { grid.end_of(w) };
         if hi > lo {
-            st.win_busy.add(slot * count + w, hi - lo);
+            st.win_busy[slot * count + w] += hi - lo;
         }
     }
 }
@@ -75,7 +76,7 @@ pub fn simulate_reference(
     };
     let grid = WindowGrid::covering(horizon, wcount);
     let num_links = topo.links().len();
-    let st = SlotState::new(num_links, grid.clone());
+    let mut st = SlotState::new(num_links, grid.clone());
 
     let links = topo.links();
     let mut outcomes = Vec::with_capacity(inj.len());
@@ -99,11 +100,11 @@ pub fn simulate_reference(
                     let dir = usize::from(link.a != prev);
                     prev = link.other(prev).expect("contiguous route");
                     let slot = 2 * lid.idx() + dir;
-                    let start = t.max(st.free_at.get(slot));
+                    let start = t.max(st.free_at[slot]);
                     let end = start + serialize;
-                    st.free_at.set(slot, end);
-                    st.busy.add(slot, serialize);
-                    charge_scan(&st, &grid, slot, start, end);
+                    st.free_at[slot] = end;
+                    st.busy[slot] += serialize;
+                    charge_scan(&mut st, &grid, slot, start, end);
                     t = end;
                 }
                 let uncontended = i.time + hops * serialize;
@@ -124,15 +125,15 @@ pub fn simulate_reference(
                     let dir = usize::from(link.a != prev);
                     prev = link.other(prev).expect("contiguous route");
                     let slot = 2 * lid.idx() + dir;
-                    start = start.max(st.free_at.get(slot));
+                    start = start.max(st.free_at[slot]);
                     slots.push(slot);
                 }
                 let occupy = i.bytes as f64 / cfg.bandwidth;
                 let end = start + occupy + hops * cfg.hop_latency_s;
                 for &slot in &slots {
-                    st.free_at.set(slot, end);
-                    st.busy.add(slot, occupy);
-                    charge_scan(&st, &grid, slot, start, start + occupy);
+                    st.free_at[slot] = end;
+                    st.busy[slot] += occupy;
+                    charge_scan(&mut st, &grid, slot, start, start + occupy);
                 }
                 let uncontended = i.time + occupy + hops * cfg.hop_latency_s;
                 MsgOutcome {
@@ -144,5 +145,5 @@ pub fn simulate_reference(
         };
         outcomes.push(outcome);
     }
-    SimReport::build(&inj, &outcomes, &st, num_links)
+    SimReport::build(&inj, &outcomes, &st)
 }

@@ -1,17 +1,19 @@
 //! Simulation results.
 //!
 //! Both engines — the sequential reference ([`crate::refsim`]) and the
-//! sharded parallel engine ([`crate::engine`]) — produce the same raw
-//! arrays (per-message outcomes in injection order, per-slot busy time,
-//! per-slot-per-window busy time) and hand them to one shared builder,
-//! [`SimReport::build`]. Every aggregate is therefore reduced in a fixed
-//! order regardless of which engine (or how many workers) produced the
-//! inputs, which is what lets `netloc verify` demand *byte-identical*
-//! reports rather than tolerance comparisons.
+//! CSR engine ([`crate::engine`]) — reduce through one accumulator,
+//! `ReportAcc`: every message outcome is folded in canonical injection
+//! order, then the per-slot busy arrays are reduced in slot order. The
+//! engine folds each outcome the moment the message retires; the
+//! reference collects its outcomes and folds them through
+//! [`SimReport::build`]. Every aggregate is therefore reduced in one
+//! fixed order whichever engine produced the inputs, which is what lets
+//! `netloc verify` demand *byte-identical* reports rather than tolerance
+//! comparisons.
 
 use crate::expand::Injection;
 use crate::kernel::{MsgOutcome, SlotState};
-use crate::windows::WindowStats;
+use crate::windows::{WindowGrid, WindowStats};
 use serde::Serialize;
 
 /// Aggregated results of one simulation run.
@@ -51,68 +53,91 @@ pub struct SimReport {
     pub link_busy_s: Vec<f64>,
 }
 
-impl SimReport {
-    /// Reduce per-message outcomes and slot-state arrays into the report.
-    ///
-    /// `outcomes[i]` must correspond to `injections[i]` (canonical
-    /// injection order); the reduction walks them once in that order.
-    pub(crate) fn build(
-        injections: &[Injection],
-        outcomes: &[MsgOutcome],
-        st: &SlotState,
-        num_links: usize,
-    ) -> Self {
-        debug_assert_eq!(injections.len(), outcomes.len());
-        let grid = &st.grid;
-        let wcount = grid.count();
+/// Per-window message sums, folded in injection order.
+#[derive(Clone, Copy, Default)]
+struct WindowAcc {
+    messages: u64,
+    bytes: u128,
+    offered: f64,
+    slow_sum: f64,
+    slow_max: f64,
+}
 
-        let mut messages = 0u64;
-        let mut bytes = 0u128;
-        let mut sum_latency = 0.0f64;
-        let mut max_latency = 0.0f64;
-        let mut total_queueing = 0.0f64;
-        let mut makespan = 0.0f64;
-        let mut total_offered = 0.0f64;
-        let mut w_messages = vec![0u64; wcount];
-        let mut w_bytes = vec![0u128; wcount];
-        let mut w_offered = vec![0.0f64; wcount];
-        let mut w_slow_sum = vec![0.0f64; wcount];
-        let mut w_slow_max = vec![0.0f64; wcount];
+/// Incremental reduction of message outcomes into a [`SimReport`]: fold
+/// every message with [`add`](Self::add) in canonical injection order,
+/// then [`finish`](Self::finish) with the slot state.
+pub(crate) struct ReportAcc {
+    grid: WindowGrid,
+    messages: u64,
+    bytes: u128,
+    sum_latency: f64,
+    max_latency: f64,
+    total_queueing: f64,
+    makespan: f64,
+    total_offered: f64,
+    windows: Vec<WindowAcc>,
+}
 
-        for (inj, out) in injections.iter().zip(outcomes) {
-            messages += 1;
-            bytes += inj.bytes as u128;
-            let latency = out.completion - inj.time;
-            sum_latency += latency;
-            max_latency = max_latency.max(latency);
-            total_queueing += out.queueing.max(0.0);
-            makespan = makespan.max(out.completion);
-            total_offered += out.offered;
-            if wcount > 0 {
-                let w = grid.index_of(inj.time);
-                w_messages[w] += 1;
-                w_bytes[w] += inj.bytes as u128;
-                w_offered[w] += out.offered;
-                // Contention-free latency recovered from the unclamped
-                // queueing; the clamp keeps slowdown ≥ 1 under float
-                // re-association noise.
-                let uncontended = latency - out.queueing;
-                let slowdown = if uncontended > 0.0 {
-                    (latency / uncontended).max(1.0)
-                } else {
-                    1.0
-                };
-                w_slow_sum[w] += slowdown;
-                w_slow_max[w] = w_slow_max[w].max(slowdown);
-            }
+impl ReportAcc {
+    /// An empty accumulator over `grid` (the grid the slot state charges).
+    pub(crate) fn new(grid: &WindowGrid) -> Self {
+        ReportAcc {
+            grid: grid.clone(),
+            messages: 0,
+            bytes: 0,
+            sum_latency: 0.0,
+            max_latency: 0.0,
+            total_queueing: 0.0,
+            makespan: 0.0,
+            total_offered: 0.0,
+            windows: vec![WindowAcc::default(); grid.count()],
         }
+    }
+
+    /// Fold one message's outcome.
+    #[inline]
+    pub(crate) fn add(&mut self, inj: &Injection, out: &MsgOutcome) {
+        self.messages += 1;
+        self.bytes += inj.bytes as u128;
+        let latency = out.completion - inj.time;
+        self.sum_latency += latency;
+        self.max_latency = self.max_latency.max(latency);
+        self.total_queueing += out.queueing.max(0.0);
+        self.makespan = self.makespan.max(out.completion);
+        self.total_offered += out.offered;
+        if !self.windows.is_empty() {
+            let w = &mut self.windows[self.grid.index_of(inj.time)];
+            w.messages += 1;
+            w.bytes += inj.bytes as u128;
+            w.offered += out.offered;
+            // Contention-free latency recovered from the unclamped
+            // queueing; the clamp keeps slowdown ≥ 1 under float
+            // re-association noise.
+            let uncontended = latency - out.queueing;
+            let slowdown = if uncontended > 0.0 {
+                (latency / uncontended).max(1.0)
+            } else {
+                1.0
+            };
+            w.slow_sum += slowdown;
+            w.slow_max = w.slow_max.max(slowdown);
+        }
+    }
+
+    /// Reduce the folded outcomes and the slot-state arrays into the
+    /// report.
+    pub(crate) fn finish(self, st: &SlotState) -> SimReport {
+        let grid = &self.grid;
+        let wcount = grid.count();
+        // Two directed slots per link.
+        let num_links = st.busy.len() / 2;
 
         // Per-link busy: both directions of a link, combined in index
         // order (a fixed order, unlike the seed's interleaved-by-arrival
         // accumulation).
         let mut link_busy = Vec::with_capacity(num_links);
         for l in 0..num_links {
-            link_busy.push(st.busy.get(2 * l) + st.busy.get(2 * l + 1));
+            link_busy.push(st.busy[2 * l] + st.busy[2 * l + 1]);
         }
         let total_busy: f64 = link_busy.iter().sum();
         let peak_busy = link_busy.iter().copied().fold(0.0, f64::max);
@@ -120,61 +145,78 @@ impl SimReport {
 
         // Per-window busy: ascending slot order within each window.
         let mut windows = Vec::with_capacity(wcount);
-        for w in 0..wcount {
+        for (w, acc) in self.windows.iter().enumerate() {
             let mut busy = 0.0f64;
             for s in 0..2 * num_links {
-                busy += st.win_busy.get(s * wcount + w);
+                busy += st.win_busy[s * wcount + w];
             }
             let duration = grid.end_of(w) - grid.start_of(w);
             let denom = duration * used_links as f64;
             let (measured, offered_util) = if denom > 0.0 {
-                (busy / denom, w_offered[w] / denom)
+                (busy / denom, acc.offered / denom)
             } else {
                 (0.0, 0.0)
             };
             windows.push(WindowStats {
                 t_start_s: grid.start_of(w),
                 t_end_s: grid.end_of(w),
-                messages: w_messages[w],
-                bytes: w_bytes[w],
-                offered_link_s: w_offered[w],
+                messages: acc.messages,
+                bytes: acc.bytes,
+                offered_link_s: acc.offered,
                 busy_link_s: busy,
                 measured_utilization: measured,
                 offered_utilization: offered_util,
-                mean_slowdown: if w_messages[w] > 0 {
-                    w_slow_sum[w] / w_messages[w] as f64
+                mean_slowdown: if acc.messages > 0 {
+                    acc.slow_sum / acc.messages as f64
                 } else {
                     1.0
                 },
-                max_slowdown: w_slow_max[w],
+                max_slowdown: acc.slow_max,
             });
         }
 
+        let messages = self.messages;
         SimReport {
             messages,
-            bytes,
+            bytes: self.bytes,
             mean_latency_s: if messages > 0 {
-                sum_latency / messages as f64
+                self.sum_latency / messages as f64
             } else {
                 0.0
             },
-            max_latency_s: max_latency,
-            total_queueing_s: total_queueing,
+            max_latency_s: self.max_latency,
+            total_queueing_s: self.total_queueing,
             mean_queueing_s: if messages > 0 {
-                total_queueing / messages as f64
+                self.total_queueing / messages as f64
             } else {
                 0.0
             },
-            makespan_s: makespan,
+            makespan_s: self.makespan,
             injection_horizon_s: grid.horizon(),
             total_busy_link_s: total_busy,
-            total_offered_link_s: total_offered,
+            total_offered_link_s: self.total_offered,
             peak_link_busy_s: peak_busy,
             used_links,
             sample_stride: 1,
             windows,
             link_busy_s: link_busy,
         }
+    }
+}
+
+impl SimReport {
+    /// Reduce per-message outcomes and the slot state into the report
+    /// through [`ReportAcc`].
+    ///
+    /// `outcomes[i]` must correspond to `injections[i]` (canonical
+    /// injection order); the reduction walks them once in that order.
+    pub(crate) fn build(injections: &[Injection], outcomes: &[MsgOutcome], st: &SlotState) -> Self {
+        debug_assert_eq!(injections.len(), outcomes.len());
+        let mut acc = ReportAcc::new(&st.grid);
+        for (inj, out) in injections.iter().zip(outcomes) {
+            acc.add(inj, out);
+        }
+        acc.finish(st)
     }
 
     /// Mean busy fraction of the used links over the makespan — the
@@ -223,7 +265,6 @@ impl SimReport {
 mod tests {
     use super::*;
     use crate::kernel::process_message;
-    use crate::windows::WindowGrid;
     use crate::SimConfig;
 
     fn inj(time: f64, bytes: u64) -> Injection {
@@ -243,14 +284,14 @@ mod tests {
             ..Default::default()
         };
         let horizon = injections.iter().map(|i| i.0).fold(0.0, f64::max);
-        let st = SlotState::new(2, WindowGrid::covering(horizon, windows));
+        let mut st = SlotState::new(2, WindowGrid::covering(horizon, windows));
         let (mut injs, mut outs) = (Vec::new(), Vec::new());
         for (time, bytes, slots) in injections {
             let i = inj(*time, *bytes);
-            outs.push(process_message(&i, slots, &cfg, &st));
+            outs.push(process_message(&i, slots, &cfg, &mut st));
             injs.push(i);
         }
-        SimReport::build(&injs, &outs, &st, 2)
+        SimReport::build(&injs, &outs, &st)
     }
 
     #[test]
@@ -307,7 +348,7 @@ mod tests {
     #[test]
     fn empty_report_is_all_zero() {
         let st = SlotState::new(3, WindowGrid::covering(0.0, 0));
-        let r = SimReport::build(&[], &[], &st, 3);
+        let r = SimReport::build(&[], &[], &st);
         assert_eq!(r.messages, 0);
         assert_eq!(r.measured_utilization(), 0.0);
         assert_eq!(r.static_utilization_upper_bound(), 0.0);

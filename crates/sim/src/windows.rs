@@ -8,7 +8,7 @@
 //! horizon (the drain after the last injection) is charged to the final
 //! window, which keeps `Σ windows busy == Σ slots busy` exact up to float
 //! rounding. All attribution arithmetic happens in a fixed order per
-//! directed-link slot, so the parallel engine reproduces the reference
+//! directed-link slot, so the CSR engine reproduces the reference
 //! byte-for-byte.
 
 use serde::Serialize;

@@ -162,7 +162,7 @@ fn window_decomposition_conserves_totals() {
     });
 }
 
-/// The per-link vector also conserves the totals, and the parallel engine
+/// The per-link vector also conserves the totals, and the CSR engine
 /// satisfies the exact same bounds (it is byte-identical to the
 /// reference, checked here once more on the same random scenarios).
 #[test]

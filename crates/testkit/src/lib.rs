@@ -8,8 +8,8 @@
 //! - [`oracle`] — differential oracles that check analytic routing
 //!   against a BFS reference for every node pair, the rayon-chunked
 //!   replay against a naive single-threaded reference for byte-identical
-//!   [`netloc_core::NetworkReport`]s, and the sharded parallel temporal
-//!   simulator against its sequential `refsim` reference for
+//!   [`netloc_core::NetworkReport`]s, and the CSR temporal simulation
+//!   engine against its per-message-routed `refsim` reference for
 //!   byte-identical [`netloc_sim::SimReport`]s at every worker count and
 //!   window size;
 //! - [`goldens`] — golden-snapshot machinery (canonical JSON with

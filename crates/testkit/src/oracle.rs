@@ -1,7 +1,7 @@
 //! Differential oracles: analytic routing vs BFS, the chunked parallel
 //! replay vs the naive single-threaded reference, the parallel ingest
-//! pipeline vs the sequential parser, and the sharded temporal simulator
-//! vs its sequential `refsim` reference.
+//! pipeline vs the sequential parser, and the CSR temporal simulation
+//! engine vs its per-message-routed `refsim` reference.
 //!
 //! All oracles run over every configuration of a corpus and return
 //! structured mismatches instead of panicking, so callers (the `netloc
@@ -64,8 +64,8 @@ pub struct VerifySummary {
     /// merge-grouping invariance, and the sum-of-windows identity against
     /// the whole-trace aggregates.
     pub windows_checks: u64,
-    /// Temporal-simulation comparisons performed: the parallel engine vs
-    /// the sequential `refsim` reference across a worker-count ×
+    /// Temporal-simulation comparisons performed: the CSR engine vs
+    /// the per-message-routed `refsim` reference across a worker-count ×
     /// window-size sweep, route storage modes, injection orders and both
     /// forwarding models.
     pub sim_checks: u64,
@@ -725,7 +725,7 @@ pub fn sim_report_diff(expected: &SimReport, actual: &SimReport) -> Vec<String> 
 }
 
 /// Differential temporal-simulation check for one corpus config: the
-/// sharded parallel engine must be **byte-identical** to the sequential
+/// CSR engine must be **byte-identical** to the per-message-routed
 /// `refsim` reference for both forwarding models, across a worker-count ×
 /// window-size sweep (including degenerate one-injection windows and the
 /// auto settings), over lazy as well as dense CSR route storage, and for

@@ -18,6 +18,11 @@
 //! netloc simulate <TRACE> --topology SPEC [--mapping MAP] [--max-msgs N]
 //!                 [--windows N]               temporal store-and-forward replay
 //!                                             with a per-window congestion profile
+//!                                             (--max-msgs, default 2M, strides
+//!                                             each event's repeats, then drops
+//!                                             every event past the cap: a large
+//!                                             trace is simulated over a time
+//!                                             prefix only)
 //! netloc serve    [--addr A] [--workers N] [--cache-mb M] [--queue Q]
 //!                 [--body-mb M] [--registry-mb M] [--ingest-mb M]
 //!                 [--data-dir DIR] [--rate-limit N] [--rate-burst B]
@@ -788,7 +793,7 @@ fn verify_cmd(args: &[String]) {
         summary.sim_checks
     );
     if summary.is_clean() {
-        println!("all oracles agree: analytic routing matches BFS (exhaustive on small configs, seeded sampling on the zoo), flat and compressed route tables replay identically, parallel replay matches the single-threaded reference, parallel ingest matches the sequential parser, windowed metrics merge identically under every grouping and sum to the whole-trace aggregates, the parallel temporal simulation matches refsim byte-for-byte");
+        println!("all oracles agree: analytic routing matches BFS (exhaustive on small configs, seeded sampling on the zoo), flat and compressed route tables replay identically, parallel replay matches the single-threaded reference, parallel ingest matches the sequential parser, windowed metrics merge identically under every grouping and sum to the whole-trace aggregates, the temporal simulation engine matches refsim byte-for-byte");
     } else {
         println!("{} MISMATCHES:", summary.mismatches.len());
         for m in &summary.mismatches {

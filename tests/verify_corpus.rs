@@ -1,7 +1,7 @@
 //! Integration gate for the differential verification harness: the full
 //! seeded corpus must pass every oracle (analytic routing vs BFS, chunked
 //! parallel replay vs the naive single-threaded reference, parallel
-//! ingest vs the sequential parser, and the parallel temporal simulation
+//! ingest vs the sequential parser, and the temporal simulation engine
 //! vs `refsim` byte-for-byte) with zero mismatches — the same check
 //! `netloc verify` runs from the CLI.
 
@@ -28,7 +28,7 @@ fn seeded_corpus_is_clean_under_both_oracles() {
     );
     assert!(
         summary.sim_checks >= 20 * corpus.len() as u64,
-        "each config should compare the parallel temporal simulation against refsim \
+        "each config should compare the temporal simulation engine against refsim \
          across the worker/window sweep, both route storages and both forwarding models"
     );
     assert!(
