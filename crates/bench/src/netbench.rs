@@ -18,8 +18,8 @@
 //! deduplication bites — up to 16× fewer unique routes at 4 ranks/node.
 //! Reported per cell: wall-clock, rank-pairs/s and packets/s for both
 //! paths plus the speedup. Every cell first asserts the two paths produce
-//! byte-identical [`NetworkReport`]s, so the benchmark doubles as a
-//! differential check.
+//! byte-identical [`NetworkReport`](netloc_core::NetworkReport)s, so the
+//! benchmark doubles as a differential check.
 //!
 //! On top of the replay grid, a **scale column** (PR 8) measures the
 //! compressed hierarchical route tables on zoo machines at 10k, 100k and

@@ -4,11 +4,10 @@
 //! [`TrafficMatrix::from_trace_full`], [`TrafficMatrix::from_trace_p2p`],
 //! and [`TraceStats::compute`] each re-walk `trace.events`. This module
 //! fuses the three analysis passes into one chunk-parallel fold and pairs
-//! it with the zero-copy parser
-//! [`parse_trace_bytes`](netloc_mpi::parse_trace_bytes):
+//! it with the zero-copy parser [`netloc_mpi::parse_trace_bytes`]:
 //!
 //! * events are split into one chunk per rayon worker;
-//! * each worker folds its chunk into a private [`Shard`] — full matrix
+//! * each worker folds its chunk into a private `Shard` — full matrix
 //!   cells, p2p-only cells, and Table 1 counters accumulated together,
 //!   with collectives expanded through the allocation-free
 //!   [`for_each_translated`] callback;

@@ -333,19 +333,6 @@ pub fn analyze_network(
     analyze_network_routed(&RoutedTopology::direct(topo), mapping, tm)
 }
 
-/// [`analyze_network`] with an explicit parallel chunk size.
-///
-/// The report must not depend on how the pair list is split across workers;
-/// exposing the chunk size lets the test harness assert exactly that.
-pub fn analyze_network_chunked(
-    topo: &dyn Topology,
-    mapping: &Mapping,
-    tm: &TrafficMatrix,
-    chunk_size: usize,
-) -> NetworkReport {
-    analyze_network_routed_chunked(&RoutedTopology::direct(topo), mapping, tm, chunk_size)
-}
-
 /// Replay against precomputed (or on-demand) routes: collapse the matrix to
 /// node pairs, then walk each unique pair's CSR route once.
 pub fn analyze_network_routed(
@@ -359,6 +346,9 @@ pub fn analyze_network_routed(
 }
 
 /// [`analyze_network_routed`] with an explicit parallel chunk size.
+///
+/// The report must not depend on how the pair list is split across workers;
+/// exposing the chunk size lets the test harness assert exactly that.
 pub fn analyze_network_routed_chunked(
     routed: &RoutedTopology<'_>,
     mapping: &Mapping,
@@ -372,10 +362,11 @@ pub fn analyze_network_routed_chunked(
 }
 
 /// The pre-route-table replay, kept as the benchmark baseline: collects and
-/// sorts the rank-pair list on every call and recomputes every route with
-/// [`Topology::route_into`] per *rank* pair (no node-pair deduplication, no
-/// CSR lookups). Byte-identical to the node-pair paths; `repro bench`
-/// measures the CSR replay's speedup against it.
+/// sorts the rank-pair list on every call, relabels it to node ids without
+/// merging, and recomputes every route with [`Topology::route_into`] per
+/// *rank* pair (no node-pair deduplication, no CSR lookups). Byte-identical
+/// to the node-pair paths; `repro bench` measures the CSR replay's speedup
+/// against it.
 pub fn analyze_network_rank_pairs(
     topo: &dyn Topology,
     mapping: &Mapping,
@@ -384,28 +375,15 @@ pub fn analyze_network_rank_pairs(
 ) -> NetworkReport {
     assert!(chunk_size > 0, "chunk size must be non-zero");
     assert_mapping_covers(mapping, tm);
-    let classes: Vec<LinkClass> = topo.links().iter().map(|l| l.class).collect();
-    let num_links = classes.len();
     let mut pairs: Vec<((u32, u32), PairTraffic)> = tm.iter().map(|(k, p)| (*k, *p)).collect();
     pairs.sort_unstable_by_key(|(k, _)| *k);
-    let acc = pairs
-        .par_chunks(chunk_size)
-        .map(|chunk| {
-            let mut acc = Acc::new(num_links);
-            let mut route = Vec::new();
-            for ((src, dst), p) in chunk {
-                let (ns, nd) = (
-                    mapping.node_of(*src as usize),
-                    mapping.node_of(*dst as usize),
-                );
-                route.clear();
-                topo.route_into(ns, nd, &mut route);
-                acc.visit(&route, p, &classes);
-            }
-            acc
-        })
-        .reduce(|| Acc::new(num_links), Acc::merge);
-    acc.into_report(num_links)
+    for ((src, dst), _) in &mut pairs {
+        (*src, *dst) = (
+            mapping.node_of(*src as usize).0,
+            mapping.node_of(*dst as usize).0,
+        );
+    }
+    replay_node_pairs(&RoutedTopology::direct(topo), &pairs, chunk_size)
 }
 
 #[cfg(test)]

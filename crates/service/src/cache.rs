@@ -1,17 +1,18 @@
 //! The cached shared state of the analysis server.
 //!
-//! **Level 1 — [`TopoCache`]:** one [`SharedRoutes`] (a flat
-//! [`RouteTable`] or a [`CompressedRouteTable`]) per distinct canonical
+//! **Level 1 — [`TopoCache`]:** one [`Routes`] (a flat `RouteTable` or a
+//! `CompressedRouteTable` behind an `Arc`) per distinct canonical
 //! topology spec, shared across every worker thread via `Arc<OnceLock<_>>`.
 //! The per-spec `OnceLock` gives single-flight semantics: when eight
 //! concurrent requests name the same topology, exactly one thread builds
-//! the table (the expensive part of a replay, per PR 3) and the other
-//! seven block on the lock and then share the finished `Arc`. The storage
-//! plan is `RoutedTopology::auto`'s own ([`plan_storage`]): machines within
-//! [`DENSE_PAIR_LIMIT`] ordered pairs get a flat CSR; larger
-//! router-symmetric machines within [`COMPRESSED_PAIR_LIMIT`] ordered
-//! *router* pairs get a compressed per-router table; everything else is
-//! never cached — the caller falls back to per-request lazy rows.
+//! the table (the expensive part of a replay) and the other seven block
+//! on the lock and then share the finished `Arc`. The storage plan is
+//! `RoutedTopology::auto`'s own ([`plan_storage`]), and so is the build
+//! ([`Routes::build`]): machines within [`DENSE_PAIR_LIMIT`] ordered pairs
+//! get a flat CSR; larger router-symmetric machines within
+//! [`COMPRESSED_PAIR_LIMIT`] ordered *router* pairs get a compressed
+//! per-router table; everything else is never cached — the caller falls
+//! back to per-request lazy rows.
 //!
 //! [`DENSE_PAIR_LIMIT`]: netloc_topology::routetable::DENSE_PAIR_LIMIT
 //! [`COMPRESSED_PAIR_LIMIT`]: netloc_topology::routetable::COMPRESSED_PAIR_LIMIT
@@ -36,75 +37,25 @@
 //! a memory miss consults the disk (digest-verified) before recomputing,
 //! and every build/insert is queued to the store's background writer. A
 //! restart with the same `--data-dir` therefore starts warm — route
-//! tables deserialize via `RouteTable::from_bytes` instead of rebuilding,
+//! tables deserialize via [`Routes::from_bytes`] instead of rebuilding,
+//! once [`Routes::fits`] has checked them against the topology,
 //! and cached responses come back byte-identical (see [`tiered_get`]).
 
 use crate::store::{DiskStore, Kind};
 use netloc_core::canon::content_digest;
 use netloc_core::{IngestResult, PairTraffic};
-use netloc_topology::routetable::{plan_storage, StoragePlan};
-use netloc_topology::{CompressedRouteTable, RouteTable, RoutedTopology, Topology};
+use netloc_topology::routetable::{plan_storage, Routes, StoragePlan};
+use netloc_topology::Topology;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// A cached route representation: either the flat all-pairs CSR or the
-/// per-router compressed table for machines past the dense limit. Both
-/// serialize to self-describing blobs (the compressed codec leads with a
-/// magic the flat decoder rejects, and vice versa), so one disk `Kind`
-/// stores either.
-#[derive(Clone)]
-pub enum SharedRoutes {
-    /// Flat all-pairs CSR (machines [`plan_storage`] plans dense).
-    Flat(Arc<RouteTable>),
-    /// Compressed per-router-pair core table (router-symmetric machines
-    /// [`plan_storage`] plans compressed).
-    Compressed(Arc<CompressedRouteTable>),
-}
-
-impl SharedRoutes {
-    /// Number of nodes the routes cover.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            SharedRoutes::Flat(t) => t.num_nodes(),
-            SharedRoutes::Compressed(t) => t.num_nodes(),
-        }
-    }
-
-    /// Serialize to the variant's own byte format (self-describing).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            SharedRoutes::Flat(t) => t.to_bytes(),
-            SharedRoutes::Compressed(t) => t.to_bytes(),
-        }
-    }
-
-    /// Decode either variant: the compressed codec's leading magic
-    /// dispatches, and each decoder rejects the other's blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<SharedRoutes, String> {
-        if let Ok(t) = CompressedRouteTable::from_bytes(bytes) {
-            return Ok(SharedRoutes::Compressed(Arc::new(t)));
-        }
-        RouteTable::from_bytes(bytes).map(|t| SharedRoutes::Flat(Arc::new(t)))
-    }
-
-    /// Wrap `topo` with this cached storage.
-    pub fn routed<'a>(&self, topo: &'a dyn Topology) -> RoutedTopology<'a> {
-        match self {
-            SharedRoutes::Flat(t) => RoutedTopology::with_shared_table(topo, Arc::clone(t)),
-            SharedRoutes::Compressed(t) => {
-                RoutedTopology::with_shared_compressed(topo, Arc::clone(t))
-            }
-        }
-    }
-}
-
 /// Level-1 cache: canonical topology spec → shared route storage,
 /// optionally persisted to a [`DiskStore`].
 #[derive(Default)]
 pub struct TopoCache {
-    cells: Mutex<HashMap<String, Arc<OnceLock<SharedRoutes>>>>,
+    cells: Mutex<HashMap<String, Arc<OnceLock<Routes>>>>,
     store: Option<Arc<DiskStore>>,
     builds: AtomicU64,
     from_disk: AtomicU64,
@@ -120,14 +71,13 @@ impl TopoCache {
         }
     }
 
-    /// The shared route storage for `canonical_spec`, building it from
+    /// The shared route table for `canonical_spec`, building it from
     /// `topo` on first use (single-flight: concurrent callers block on one
-    /// build). Returns `None` for machines too large for either cached
-    /// representation; those run with per-request lazy rows instead.
-    pub fn shared_routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<SharedRoutes> {
-        let n = topo.num_nodes();
+    /// build). Returns `None` for machines [`plan_storage`] plans lazy
+    /// rows for; those run with per-request lazy rows instead.
+    pub fn routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<Routes> {
         let plan = plan_storage(topo);
-        if !matches!(plan, StoragePlan::Dense | StoragePlan::Compressed) {
+        if matches!(plan, StoragePlan::Lazy | StoragePlan::LazyCompressed) {
             return None;
         }
         let cell = {
@@ -139,50 +89,29 @@ impl TopoCache {
             )
         };
         let routes = cell.get_or_init(|| {
-            // Read-through: a verified disk entry that decodes to the
-            // planned representation for the same machine size replaces
-            // the expensive build.
-            if let Some(store) = &self.store {
-                if let Some(bytes) = store.get(Kind::Table, canonical_spec) {
-                    if let Ok(routes) = SharedRoutes::from_bytes(&bytes) {
-                        let matches_plan = matches!(
-                            (&routes, plan),
-                            (SharedRoutes::Flat(_), StoragePlan::Dense)
-                                | (SharedRoutes::Compressed(_), StoragePlan::Compressed)
-                        );
-                        if matches_plan && routes.num_nodes() == n {
-                            self.from_disk.fetch_add(1, Ordering::Relaxed);
-                            return routes;
-                        }
-                    }
-                }
+            // Read-through: a verified disk entry replaces the expensive
+            // build only when it is the planned table of this very machine
+            // (`Routes::fits`). A stale layout, another machine size or a
+            // forged frame is a miss and gets rebuilt and rewritten.
+            let restored = self
+                .store
+                .as_ref()
+                .and_then(|store| store.get(Kind::Table, canonical_spec))
+                .and_then(|bytes| Routes::from_bytes(&bytes).ok())
+                .filter(|routes| routes.fits(topo, plan));
+            if let Some(routes) = restored {
+                self.from_disk.fetch_add(1, Ordering::Relaxed);
+                return routes;
             }
             self.builds.fetch_add(1, Ordering::Relaxed);
-            let routes = if plan == StoragePlan::Dense {
-                SharedRoutes::Flat(Arc::new(RouteTable::build(topo)))
-            } else {
-                SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(topo)))
-            };
+            let routes =
+                Routes::build(topo, plan).expect("dense and compressed plans build tables");
             if let Some(store) = &self.store {
                 store.put(Kind::Table, canonical_spec, &routes.to_bytes());
             }
             routes
         });
         Some(routes.clone())
-    }
-
-    /// Back-compat convenience: the flat table for `canonical_spec`, when
-    /// the machine is small enough for one (`None` otherwise, including
-    /// machines the cache serves compressed).
-    pub fn shared_table(
-        &self,
-        canonical_spec: &str,
-        topo: &dyn Topology,
-    ) -> Option<Arc<RouteTable>> {
-        match self.shared_routes(canonical_spec, topo) {
-            Some(SharedRoutes::Flat(t)) => Some(t),
-            _ => None,
-        }
     }
 
     /// Route tables actually built so far (disk restores are counted
@@ -517,7 +446,10 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
                     let topo = Torus3D::new([3, 3, 3]);
-                    cache.shared_table("torus:3,3,3", &topo).unwrap()
+                    match cache.routes("torus:3,3,3", &topo) {
+                        Some(Routes::Dense(t)) => t,
+                        _ => panic!("a 27-node torus is planned dense"),
+                    }
                 })
             })
             .collect();
@@ -534,7 +466,7 @@ mod tests {
         let cache = TopoCache::default();
         // 44³ = 85 184 nodes → 7.3e9 ordered pairs, far over the limit.
         let big = Torus3D::new([44, 44, 44]);
-        assert!(cache.shared_table("torus:44,44,44", &big).is_none());
+        assert!(cache.routes("torus:44,44,44", &big).is_none());
         assert_eq!(cache.tables_built(), 0);
     }
 
@@ -708,7 +640,7 @@ mod tests {
         let built = {
             let store = DiskStore::open(&dir).unwrap();
             let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-            let t = cache.shared_table("torus:3,4,2", &topo).unwrap();
+            let t = cache.routes("torus:3,4,2", &topo).unwrap();
             assert_eq!(cache.tables_built(), 1);
             assert_eq!(cache.tables_from_disk(), 0);
             store.flush();
@@ -717,7 +649,7 @@ mod tests {
         // "Restart": fresh cache over the same store.
         let store = DiskStore::open(&dir).unwrap();
         let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-        let restored = cache.shared_table("torus:3,4,2", &topo).unwrap();
+        let restored = cache.routes("torus:3,4,2", &topo).unwrap();
         assert_eq!(cache.tables_built(), 0, "no rebuild after restart");
         assert_eq!(cache.tables_from_disk(), 1);
         assert_eq!(
@@ -736,14 +668,11 @@ mod tests {
         // but router-symmetric, so the cache plans a compressed table.
         let topo = SlimFly::new(13, 7);
         let cache = TopoCache::default();
-        let routes = cache.shared_routes("slimfly:13,7", &topo).unwrap();
-        assert!(matches!(routes, SharedRoutes::Compressed(_)));
+        let routes = cache.routes("slimfly:13,7", &topo).unwrap();
+        assert!(matches!(routes, Routes::Compressed(_)));
         assert_eq!(cache.tables_built(), 1);
-        // The flat-only accessor declines what it cannot represent.
-        assert!(cache.shared_table("slimfly:13,7", &topo).is_none());
-        assert_eq!(cache.tables_built(), 1, "flat accessor reuses the cell");
         // The cached storage routes identically to the topology itself.
-        let routed = routes.routed(&topo);
+        let routed = netloc_topology::RoutedTopology::with_routes(&topo, routes);
         let mut scratch = Vec::new();
         for (s, d) in [(0u32, 1u32), (0, 2365), (1234, 17)] {
             assert_eq!(
@@ -761,17 +690,17 @@ mod tests {
         let built = {
             let store = DiskStore::open(&dir).unwrap();
             let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-            let r = cache.shared_routes("slimfly:13,7", &topo).unwrap();
+            let r = cache.routes("slimfly:13,7", &topo).unwrap();
             assert_eq!(cache.tables_built(), 1);
             store.flush();
             r
         };
         let store = DiskStore::open(&dir).unwrap();
         let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-        let restored = cache.shared_routes("slimfly:13,7", &topo).unwrap();
+        let restored = cache.routes("slimfly:13,7", &topo).unwrap();
         assert_eq!(cache.tables_built(), 0, "no rebuild after restart");
         assert_eq!(cache.tables_from_disk(), 1);
-        assert!(matches!(restored, SharedRoutes::Compressed(_)));
+        assert!(matches!(restored, Routes::Compressed(_)));
         assert_eq!(
             restored.to_bytes(),
             built.to_bytes(),
@@ -782,17 +711,38 @@ mod tests {
     }
 
     #[test]
-    fn shared_routes_codec_dispatches_on_variant() {
-        use netloc_topology::{SlimFly, Torus3D};
-        let flat = SharedRoutes::Flat(Arc::new(RouteTable::build(&Torus3D::new([3, 3, 3]))));
-        let comp =
-            SharedRoutes::Compressed(Arc::new(CompressedRouteTable::build(&SlimFly::new(5, 2))));
-        let flat2 = SharedRoutes::from_bytes(&flat.to_bytes()).unwrap();
-        let comp2 = SharedRoutes::from_bytes(&comp.to_bytes()).unwrap();
-        assert!(matches!(flat2, SharedRoutes::Flat(_)));
-        assert!(matches!(comp2, SharedRoutes::Compressed(_)));
-        assert_eq!(flat2.to_bytes(), flat.to_bytes());
-        assert_eq!(comp2.to_bytes(), comp.to_bytes());
-        assert!(SharedRoutes::from_bytes(b"garbage").is_err());
+    fn topo_cache_rebuilds_tables_that_do_not_fit_their_spec() {
+        use netloc_topology::{RouteTable, SlimFly};
+        let dir = tmpdir("mismatch");
+        // slimfly:13,7 plans a compressed table; under it lies a
+        // well-formed flat one. torus:3,3,3 plans a flat table; under it
+        // lies one of another machine size.
+        let flat = RouteTable::build(&SlimFly::new(5, 2)).to_bytes();
+        let resized = RouteTable::build(&Torus3D::new([3, 3, 2])).to_bytes();
+        let cases: [(&str, Box<dyn Topology>, &[u8]); 2] = [
+            ("slimfly:13,7", Box::new(SlimFly::new(13, 7)), &flat),
+            ("torus:3,3,3", Box::new(Torus3D::new([3, 3, 3])), &resized),
+        ];
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            for (spec, _, blob) in &cases {
+                store.put(Kind::Table, spec, blob);
+            }
+            store.flush();
+        }
+        for (spec, topo, blob) in &cases {
+            let store = DiskStore::open(&dir).unwrap();
+            let cache = TopoCache::with_store(Some(Arc::clone(&store)));
+            let routes = cache.routes(spec, topo.as_ref()).unwrap();
+            assert_eq!(cache.tables_built(), 1, "{spec}: rebuilt");
+            assert_eq!(cache.tables_from_disk(), 0, "{spec}: blob rejected");
+            assert_eq!(routes.num_nodes(), topo.num_nodes());
+            store.flush();
+            // The rebuilt table replaced the bad entry.
+            let stored = store.get(Kind::Table, spec).unwrap();
+            assert_ne!(&stored[..], *blob, "{spec}");
+            assert_eq!(stored, routes.to_bytes(), "{spec}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -638,10 +638,11 @@ fn decode_windows(fields: &[(String, Value)]) -> Result<Option<usize>, Response>
 // ---- analysis endpoints ----------------------------------------------
 
 /// Build the topology and its routed view, then run `work` against it.
-/// Shared storage (flat or compressed) when the topo cache accepts the
-/// machine, per-request lazy rows otherwise; all modes produce identical
-/// reports. Shared with the job subsystem, which is how job cells ride
-/// the same single-flight route tables as interactive requests.
+/// The topo cache's shared [`Routes`](netloc_topology::routetable::Routes)
+/// (flat or compressed) when it accepts the machine, per-request lazy rows
+/// otherwise; all modes produce identical reports. Shared with the job
+/// subsystem, which is how job cells ride the same single-flight route
+/// tables as interactive requests.
 pub(crate) fn with_routed<T>(
     state: &AppState,
     topo_spec: &TopologySpec,
@@ -649,8 +650,8 @@ pub(crate) fn with_routed<T>(
 ) -> Result<T, netloc_topology::spec::SpecError> {
     let topo = topo_spec.build()?;
     let canonical = topo_spec.to_string();
-    let routed = match state.topo_cache.shared_routes(&canonical, topo.as_ref()) {
-        Some(routes) => routes.routed(topo.as_ref()),
+    let routed = match state.topo_cache.routes(&canonical, topo.as_ref()) {
+        Some(routes) => RoutedTopology::with_routes(topo.as_ref(), routes),
         // Past both cache limits, `auto` plans lazy rows: per-router core
         // rows when the machine is router-symmetric, flat rows otherwise.
         None => RoutedTopology::auto(topo.as_ref()),

@@ -64,7 +64,7 @@ pub enum Kind {
     /// cell payloads, which share the analyze key space so a job warms
     /// the interactive cache and vice versa.
     Result,
-    /// Serialized dense route tables (`tables/`).
+    /// Serialized route tables, flat or compressed (`tables/`).
     Table,
     /// Registered trace uploads (`traces/`).
     Trace,

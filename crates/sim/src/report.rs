@@ -6,7 +6,7 @@
 //! order, then the per-slot busy arrays are reduced in slot order. The
 //! engine folds each outcome the moment the message retires; the
 //! reference collects its outcomes and folds them through
-//! [`SimReport::build`]. Every aggregate is therefore reduced in one
+//! `SimReport::build`. Every aggregate is therefore reduced in one
 //! fixed order whichever engine produced the inputs, which is what lets
 //! `netloc verify` demand *byte-identical* reports rather than tolerance
 //! comparisons.

@@ -10,8 +10,8 @@
 
 use crate::corpus::CorpusConfig;
 use netloc_core::netmodel::{
-    analyze_network, analyze_network_chunked, analyze_network_rank_pairs, analyze_network_routed,
-    NetworkReport,
+    analyze_network, analyze_network_rank_pairs, analyze_network_routed,
+    analyze_network_routed_chunked, NetworkReport,
 };
 use netloc_core::refmodel::analyze_network_reference;
 use netloc_core::{
@@ -23,7 +23,7 @@ use netloc_sim::{
     expand_trace, simulate_parallel, simulate_reference, Forwarding, SimConfig, SimExec, SimReport,
 };
 use netloc_topology::bfs::{validate_walk, BfsRouter};
-use netloc_topology::{NodeId, RoutedTopology, Topology};
+use netloc_topology::{NodeId, RouteTable, RoutedTopology, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -124,16 +124,16 @@ pub fn check_routes(topo: &dyn Topology, allow_one_hop_detour: bool) -> (Vec<Str
 }
 
 /// Compare the precomputed CSR storage against direct routing for every
-/// node pair: the dense [`RouteTable`](netloc_topology::RouteTable) and the
-/// lazy per-source rows must both return routes *byte-identical* to
-/// [`Topology::route_into`], with matching CSR hop counts. Router-symmetric
-/// topologies additionally check the compressed per-router table and the
-/// lazy compressed core rows on every pair.
+/// node pair: the dense [`RouteTable`] and the lazy per-source rows must
+/// both return routes *byte-identical* to [`Topology::route_into`], with
+/// matching CSR hop counts. Router-symmetric topologies additionally
+/// check the compressed per-router table and the lazy compressed core rows
+/// on every pair.
 ///
 /// Returns violations; the second tuple element is the number of pairs
 /// checked (each pair checks every applicable storage mode).
 pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
-    let table = topo.route_table();
+    let table = RouteTable::build(topo);
     let lazy = RoutedTopology::lazy(topo);
     let symmetric = topo.symmetry_hint().is_some();
     let compressed_modes = if symmetric {
@@ -436,7 +436,12 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
     // Degenerate (1), prime (7), and single-chunk sizes shake out any
     // dependence on how pairs are split across workers.
     for chunk in [1usize, 7, tm.num_pairs().max(1)] {
-        let chunked = analyze_network_chunked(topo.as_ref(), &mapping, &tm, chunk);
+        let chunked = analyze_network_routed_chunked(
+            &RoutedTopology::direct(topo.as_ref()),
+            &mapping,
+            &tm,
+            chunk,
+        );
         checks += 1;
         for d in report_diff(&reference, &chunked) {
             violations.push(format!("chunk size {chunk}: {d}"));

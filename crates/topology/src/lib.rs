@@ -142,13 +142,6 @@ pub trait Topology: Sync {
         out
     }
 
-    /// Precompute every route of this topology into a dense CSR
-    /// [`RouteTable`] (parallel build; see `routetable` for the memory
-    /// bound and a lazy alternative for very large machines).
-    fn route_table(&self) -> RouteTable {
-        RouteTable::build(self)
-    }
-
     /// Structural symmetry of this topology's routes, if any. The default
     /// reports none; router-symmetric families (fat tree, dragonfly, Slim
     /// Fly, HyperX, Jellyfish) override it so route tables are built from

@@ -243,15 +243,7 @@ impl RouteTable {
     ///
     /// [`from_bytes`]: RouteTable::from_bytes
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 * (self.offsets.len() + self.links.len()));
-        out.extend_from_slice(&(self.n as u64).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &l in &self.links {
-            out.extend_from_slice(&l.0.to_le_bytes());
-        }
-        out
+        csr_to_bytes(&[self.n as u64], &self.offsets, &self.links)
     }
 
     /// Decode a table serialized by [`to_bytes`](RouteTable::to_bytes),
@@ -263,49 +255,91 @@ impl RouteTable {
     /// an oversized allocation (capacity is derived from the *actual*
     /// input length, not from decoded counts).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let header = bytes
-            .get(..8)
-            .ok_or_else(|| format!("route table blob truncated at {} bytes", bytes.len()))?;
-        let n64 = u64::from_le_bytes(header.try_into().expect("8-byte slice"));
-        let n = usize::try_from(n64).map_err(|_| format!("node count {n64} overflows usize"))?;
-        let pairs = n
-            .checked_mul(n)
-            .and_then(|p| p.checked_add(1))
-            .ok_or_else(|| format!("node count {n} overflows the pair space"))?;
-        let rest = &bytes[8..];
-        if rest.len() < pairs * 4 || !rest.len().is_multiple_of(4) {
-            return Err(format!(
-                "route table blob holds {} bytes after the header; {n} nodes need at least {} and a multiple of 4",
-                rest.len(),
-                pairs * 4
-            ));
-        }
-        let (offset_bytes, link_bytes) = rest.split_at(pairs * 4);
-        let word = |b: &[u8], i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
-        let mut offsets = Vec::with_capacity(pairs);
-        let mut prev = 0u32;
-        for i in 0..pairs {
-            let o = word(offset_bytes, i);
-            if i == 0 && o != 0 {
-                return Err(format!("first offset is {o}, not 0"));
-            }
-            if o < prev {
-                return Err(format!("offsets not monotone at pair {i}: {o} < {prev}"));
-            }
-            offsets.push(o);
-            prev = o;
-        }
-        let num_links = link_bytes.len() / 4;
-        if prev as usize != num_links {
-            return Err(format!(
-                "final offset {prev} does not match the {num_links} stored link ids"
-            ));
-        }
-        let links = (0..num_links)
-            .map(|i| LinkId(word(link_bytes, i)))
-            .collect();
+        let ([n], rest) = split_header(bytes)?;
+        let (offsets, links) = csr_from_bytes(rest, n)?;
         Ok(RouteTable { n, offsets, links })
     }
+}
+
+/// Serialize CSR arrays behind their little-endian `u64` header words:
+/// `[header][offsets × u32][links × u32]` — the writer of both table
+/// formats.
+fn csr_to_bytes(header: &[u64], offsets: &[u32], links: &[LinkId]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 * header.len() + 4 * (offsets.len() + links.len()));
+    for &w in header {
+        out.extend_from_slice(&w.to_le_bytes());
+    }
+    for &o in offsets {
+        out.extend_from_slice(&o.to_le_bytes());
+    }
+    for &l in links {
+        out.extend_from_slice(&l.0.to_le_bytes());
+    }
+    out
+}
+
+/// Split the `N` little-endian `u64` header words off a table blob, as
+/// `usize` counts.
+fn split_header<const N: usize>(bytes: &[u8]) -> Result<([usize; N], &[u8]), String> {
+    if bytes.len() < 8 * N {
+        return Err(format!(
+            "route table blob truncated at {} bytes",
+            bytes.len()
+        ));
+    }
+    let (header, rest) = bytes.split_at(8 * N);
+    let mut words = [0; N];
+    for (w, bytes) in words.iter_mut().zip(header.chunks_exact(8)) {
+        let word = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+        *w = usize::try_from(word).map_err(|_| format!("header word {word} overflows usize"))?;
+    }
+    Ok((words, rest))
+}
+
+/// Decode the CSR that follows a table's header: `side² + 1` offsets, then
+/// the link ids — the reader of both table formats. The input must hold
+/// at least the offsets and a whole number of words; offsets must start
+/// at zero, be monotone, and end at the number of link ids stored. Any
+/// violation is an `Err`, and capacity comes from the input length, never
+/// from a decoded count.
+fn csr_from_bytes(rest: &[u8], side: usize) -> Result<(Vec<u32>, Vec<LinkId>), String> {
+    let pairs = side
+        .checked_mul(side)
+        .and_then(|p| p.checked_add(1))
+        .filter(|p| p.checked_mul(4).is_some())
+        .ok_or_else(|| format!("{side} rows overflow the pair space"))?;
+    if rest.len() < pairs * 4 || !rest.len().is_multiple_of(4) {
+        return Err(format!(
+            "route table blob holds {} bytes after the header; {side}² pairs need at least {} and a multiple of 4",
+            rest.len(),
+            pairs * 4
+        ));
+    }
+    let (offset_bytes, link_bytes) = rest.split_at(pairs * 4);
+    let word = |b: &[u8], i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
+    let mut offsets = Vec::with_capacity(pairs);
+    let mut prev = 0u32;
+    for i in 0..pairs {
+        let o = word(offset_bytes, i);
+        if i == 0 && o != 0 {
+            return Err(format!("first offset is {o}, not 0"));
+        }
+        if o < prev {
+            return Err(format!("offsets not monotone at pair {i}: {o} < {prev}"));
+        }
+        offsets.push(o);
+        prev = o;
+    }
+    let num_links = link_bytes.len() / 4;
+    if prev as usize != num_links {
+        return Err(format!(
+            "final offset {prev} does not match the {num_links} stored link ids"
+        ));
+    }
+    let links = (0..num_links)
+        .map(|i| LinkId(word(link_bytes, i)))
+        .collect();
+    Ok((offsets, links))
 }
 
 /// Magic prefix of [`CompressedRouteTable::to_bytes`] blobs ("NLOC-CRT" in
@@ -388,6 +422,50 @@ fn assemble_csr(
     debug_assert_eq!(offsets.len(), rows * cols + 1);
     debug_assert_eq!(end, total);
     (offsets, links)
+}
+
+/// The route of a node pair around its router-pair core, expanded into
+/// `scratch` (cleared first): `[src] ++ core(rs, rd) ++ [dst]`, with no
+/// core between two nodes of one router and an empty route on the
+/// diagonal. `core` is only asked for distinct routers.
+#[inline]
+fn expand_route<'s, 'c>(
+    src: NodeId,
+    dst: NodeId,
+    nodes_per_router: usize,
+    scratch: &'s mut Vec<LinkId>,
+    core: impl FnOnce(usize, usize) -> &'c [LinkId],
+) -> &'s [LinkId] {
+    scratch.clear();
+    if src == dst {
+        return scratch;
+    }
+    scratch.push(LinkId(src.0));
+    let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
+    if rs != rd {
+        scratch.extend_from_slice(core(rs, rd));
+    }
+    scratch.push(LinkId(dst.0));
+    scratch
+}
+
+/// Hop count of the route [`expand_route`] expands: `2 + |core|`, `2`
+/// within one router, `0` on the diagonal.
+#[inline]
+fn expand_hops(
+    src: NodeId,
+    dst: NodeId,
+    nodes_per_router: usize,
+    core_len: impl FnOnce(usize, usize) -> u32,
+) -> u32 {
+    if src == dst {
+        return 0;
+    }
+    let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
+    if rs == rd {
+        return 2;
+    }
+    2 + core_len(rs, rd)
 }
 
 /// Compressed hierarchical route table for router-symmetric topologies.
@@ -540,37 +618,18 @@ impl CompressedRouteTable {
         dst: NodeId,
         scratch: &'s mut Vec<LinkId>,
     ) -> &'s [LinkId] {
-        scratch.clear();
-        if src == dst {
-            return scratch;
-        }
-        scratch.push(LinkId(src.0));
-        let (rs, rd) = (
-            src.idx() / self.nodes_per_router,
-            dst.idx() / self.nodes_per_router,
-        );
-        if rs != rd {
-            scratch.extend_from_slice(self.core_of(rs, rd));
-        }
-        scratch.push(LinkId(dst.0));
-        scratch
+        expand_route(src, dst, self.nodes_per_router, scratch, |rs, rd| {
+            self.core_of(rs, rd)
+        })
     }
 
     /// Hop count of a node pair (two terminals plus the core's CSR offset
     /// difference; no route expansion).
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        if src == dst {
-            return 0;
-        }
-        let (rs, rd) = (
-            src.idx() / self.nodes_per_router,
-            dst.idx() / self.nodes_per_router,
-        );
-        if rs == rd {
-            return 2;
-        }
-        2 + self.core_len(rs, rd)
+        expand_hops(src, dst, self.nodes_per_router, |rs, rd| {
+            self.core_len(rs, rd)
+        })
     }
 
     /// Total core link ids stored (Σ core length over ordered router pairs).
@@ -640,17 +699,12 @@ impl CompressedRouteTable {
     /// store frames it. The magic keeps flat and compressed blobs from
     /// ever decoding as each other.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + 4 * (self.offsets.len() + self.links.len()));
-        out.extend_from_slice(&COMPRESSED_MAGIC.to_le_bytes());
-        out.extend_from_slice(&(self.nodes as u64).to_le_bytes());
-        out.extend_from_slice(&(self.nodes_per_router as u64).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &l in &self.links {
-            out.extend_from_slice(&l.0.to_le_bytes());
-        }
-        out
+        let header = [
+            COMPRESSED_MAGIC,
+            self.nodes as u64,
+            self.nodes_per_router as u64,
+        ];
+        csr_to_bytes(&header, &self.offsets, &self.links)
     }
 
     /// Decode a table serialized by
@@ -658,62 +712,17 @@ impl CompressedRouteTable {
     /// and every structural invariant exactly as
     /// [`RouteTable::from_bytes`] does; any violation is a clean `Err`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let header = bytes.get(..24).ok_or_else(|| {
-            format!(
-                "compressed route table blob truncated at {} bytes",
-                bytes.len()
-            )
-        })?;
-        let word64 = |i: usize| u64::from_le_bytes(header[8 * i..8 * i + 8].try_into().unwrap());
-        if word64(0) != COMPRESSED_MAGIC {
+        let ([magic, nodes, p], rest) = split_header(bytes)?;
+        if magic as u64 != COMPRESSED_MAGIC {
             return Err("not a compressed route table (magic mismatch)".into());
         }
-        let nodes = usize::try_from(word64(1))
-            .map_err(|_| format!("node count {} overflows usize", word64(1)))?;
-        let p = usize::try_from(word64(2))
-            .map_err(|_| format!("nodes/router {} overflows usize", word64(2)))?;
         if p == 0 || nodes == 0 || !nodes.is_multiple_of(p) {
             return Err(format!(
                 "invalid geometry: {nodes} nodes across routers of {p}"
             ));
         }
         let routers = nodes / p;
-        let pairs = routers
-            .checked_mul(routers)
-            .and_then(|v| v.checked_add(1))
-            .ok_or_else(|| format!("router count {routers} overflows the pair space"))?;
-        let rest = &bytes[24..];
-        if rest.len() < pairs * 4 || !rest.len().is_multiple_of(4) {
-            return Err(format!(
-                "compressed blob holds {} bytes after the header; {routers} routers need at least {} and a multiple of 4",
-                rest.len(),
-                pairs * 4
-            ));
-        }
-        let (offset_bytes, link_bytes) = rest.split_at(pairs * 4);
-        let word = |b: &[u8], i: usize| u32::from_le_bytes(b[4 * i..4 * i + 4].try_into().unwrap());
-        let mut offsets = Vec::with_capacity(pairs);
-        let mut prev = 0u32;
-        for i in 0..pairs {
-            let o = word(offset_bytes, i);
-            if i == 0 && o != 0 {
-                return Err(format!("first offset is {o}, not 0"));
-            }
-            if o < prev {
-                return Err(format!("offsets not monotone at pair {i}: {o} < {prev}"));
-            }
-            offsets.push(o);
-            prev = o;
-        }
-        let num_links = link_bytes.len() / 4;
-        if prev as usize != num_links {
-            return Err(format!(
-                "final offset {prev} does not match the {num_links} stored link ids"
-            ));
-        }
-        let links = (0..num_links)
-            .map(|i| LinkId(word(link_bytes, i)))
-            .collect();
+        let (offsets, links) = csr_from_bytes(rest, routers)?;
         Ok(CompressedRouteTable {
             nodes,
             nodes_per_router: p,
@@ -724,18 +733,88 @@ impl CompressedRouteTable {
     }
 }
 
+/// A whole precomputed route table, flat or compressed — the value that
+/// [`RoutedTopology::with_routes`] wraps and that route caches (the
+/// analysis service's per-topology cache) share between handles and
+/// persist. Cloning bumps a reference count; the CSR arrays are never
+/// copied.
+#[derive(Debug, Clone)]
+pub enum Routes {
+    /// Dense flat [`RouteTable`] ([`StoragePlan::Dense`]).
+    Dense(Arc<RouteTable>),
+    /// Router-pair [`CompressedRouteTable`] ([`StoragePlan::Compressed`]).
+    Compressed(Arc<CompressedRouteTable>),
+}
+
+impl Routes {
+    /// Build the whole table `plan` stores for `topo` (as [`plan_storage`]
+    /// picks it); `None` for the lazy plans, which build rows on first
+    /// touch instead.
+    ///
+    /// # Panics
+    /// Panics on [`StoragePlan::Compressed`] for a topology without a
+    /// usable [`SymmetryHint::RouterSymmetric`] hint.
+    pub fn build<T: Topology + ?Sized>(topo: &T, plan: StoragePlan) -> Option<Routes> {
+        match plan {
+            StoragePlan::Dense => Some(Routes::Dense(Arc::new(RouteTable::build(topo)))),
+            StoragePlan::Compressed => Some(Routes::Compressed(Arc::new(
+                CompressedRouteTable::build(topo),
+            ))),
+            StoragePlan::LazyCompressed | StoragePlan::Lazy => None,
+        }
+    }
+
+    /// Number of nodes the routes cover.
+    pub fn num_nodes(&self) -> usize {
+        match self {
+            Routes::Dense(t) => t.num_nodes(),
+            Routes::Compressed(t) => t.num_nodes(),
+        }
+    }
+
+    /// Serialize to the table's own format; the compressed format leads
+    /// with a magic, so the two never decode as each other.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        match self {
+            Routes::Dense(t) => t.to_bytes(),
+            Routes::Compressed(t) => t.to_bytes(),
+        }
+    }
+
+    /// Decode either format, dispatching on the compressed magic.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Routes, String> {
+        if bytes.starts_with(&COMPRESSED_MAGIC.to_le_bytes()) {
+            CompressedRouteTable::from_bytes(bytes).map(|t| Routes::Compressed(Arc::new(t)))
+        } else {
+            RouteTable::from_bytes(bytes).map(|t| Routes::Dense(Arc::new(t)))
+        }
+    }
+
+    /// Whether these routes are a table `plan` can store for `topo`: the
+    /// planned format, the same node count, the topology's own
+    /// `nodes_per_router` for a compressed table, and only link ids of
+    /// `topo`. A decoded table (from disk, say) must pass this before it
+    /// serves replays, which index per-link arrays by these ids.
+    pub fn fits<T: Topology + ?Sized>(&self, topo: &T, plan: StoragePlan) -> bool {
+        let num_links = topo.links().len();
+        let known = |links: &[LinkId]| links.iter().all(|l| l.idx() < num_links);
+        self.num_nodes() == topo.num_nodes()
+            && match (self, plan) {
+                (Routes::Dense(t), StoragePlan::Dense) => known(&t.links),
+                (Routes::Compressed(t), StoragePlan::Compressed) => {
+                    nodes_per_router(topo) == Some(t.nodes_per_router) && known(&t.links)
+                }
+                _ => false,
+            }
+    }
+}
+
 /// Route storage of a [`RoutedTopology`].
 enum Storage {
-    /// Full dense CSR table, owned by this handle.
-    Dense(RouteTable),
-    /// Full dense CSR table shared with other handles (e.g. the analysis
-    /// service's per-topology cache, where every concurrent request
-    /// against the same topology spec reads one table).
-    Shared(Arc<RouteTable>),
-    /// Compressed router-pair core table, owned by this handle.
-    Compressed(CompressedRouteTable),
-    /// Compressed table shared with other handles.
-    SharedCompressed(Arc<CompressedRouteTable>),
+    /// A whole table, possibly shared with other handles (e.g. every
+    /// concurrent request of the analysis service against one topology
+    /// spec reads one table).
+    Built(Routes),
     /// Per-source CSR rows, built on first touch (thread-safe).
     Lazy(Vec<OnceLock<SourceRow>>),
     /// Per-source-*router* core rows, built on first touch — the
@@ -754,24 +833,28 @@ enum Storage {
 /// A topology bundled with precomputed (or on-demand) routes — the handle
 /// the replay engine and the mapping optimizers consume.
 ///
-/// All three modes answer [`route_of`](RoutedTopology::route_of) and
+/// Every storage answers [`route_of`](RoutedTopology::route_of) and
 /// [`hops`](RoutedTopology::hops) with identical values; they only trade
 /// memory for lookup cost:
 ///
-/// * [`dense`](RoutedTopology::dense) — one [`RouteTable`], O(1) slice
-///   lookups, `O(n²·hops̄)` memory. Best for sweeps at paper scale.
-/// * [`compressed`](RoutedTopology::compressed) — one
-///   [`CompressedRouteTable`] over router pairs, terminal hops expanded
-///   into the caller's scratch. Best for router-symmetric machines past
-///   the dense limit (100k–1M endpoints).
+/// * a whole [`Routes`] table, built up front or shared with other handles
+///   ([`with_routes`](RoutedTopology::with_routes)):
+///   * [`dense`](RoutedTopology::dense) — one [`RouteTable`], O(1) slice
+///     lookups, `O(n²·hops̄)` memory. Best for sweeps at paper scale.
+///   * [`compressed`](RoutedTopology::compressed) — one
+///     [`CompressedRouteTable`] over router pairs, terminal hops expanded
+///     into the caller's scratch. Best for router-symmetric machines past
+///     the dense limit (100k–1M endpoints).
 /// * [`lazy`](RoutedTopology::lazy) — one [`SourceRow`] per *touched*
 ///   source, built on first use. Best when the machine is much larger
-///   than the communicating node set (e.g. the 13 824-node fat tree).
+///   than the communicating node set and has no router symmetry.
 /// * [`lazy_compressed`](RoutedTopology::lazy_compressed) — one core row
 ///   per *touched source router*, for symmetric machines past even
 ///   [`COMPRESSED_PAIR_LIMIT`].
 /// * [`direct`](RoutedTopology::direct) — no caching; lookups route into
 ///   a caller-provided scratch buffer. Best for one-shot replays.
+///
+/// [`auto`](RoutedTopology::auto) picks one with [`plan_storage`].
 pub struct RoutedTopology<'a> {
     topo: &'a dyn Topology,
     storage: Storage,
@@ -780,42 +863,35 @@ pub struct RoutedTopology<'a> {
 impl<'a> RoutedTopology<'a> {
     /// Precompute the full dense table up front.
     pub fn dense(topo: &'a dyn Topology) -> Self {
-        RoutedTopology {
-            storage: Storage::Dense(RouteTable::build(topo)),
-            topo,
-        }
+        Self::with_routes(topo, Routes::Dense(Arc::new(RouteTable::build(topo))))
     }
 
-    /// Wrap an already-built table (e.g. from [`Topology::route_table`]).
+    /// Precompute the full compressed router-pair core table up front.
+    ///
+    /// # Panics
+    /// Panics if the topology reports no usable
+    /// [`SymmetryHint::RouterSymmetric`] hint.
+    pub fn compressed(topo: &'a dyn Topology) -> Self {
+        Self::with_routes(
+            topo,
+            Routes::Compressed(Arc::new(CompressedRouteTable::build(topo))),
+        )
+    }
+
+    /// Wrap an already-built table. Many handles (one per concurrent
+    /// request, say) can replay over clones of one [`Routes`] without
+    /// copying its CSR arrays.
     ///
     /// # Panics
     /// Panics if the table's node count does not match the topology's.
-    pub fn with_table(topo: &'a dyn Topology, table: RouteTable) -> Self {
+    pub fn with_routes(topo: &'a dyn Topology, routes: Routes) -> Self {
         assert_eq!(
-            table.num_nodes(),
+            routes.num_nodes(),
             topo.num_nodes(),
             "route table built for a different machine size"
         );
         RoutedTopology {
-            storage: Storage::Dense(table),
-            topo,
-        }
-    }
-
-    /// Borrow an already-built table behind an [`Arc`] without cloning its
-    /// CSR arrays — many handles (one per concurrent request) can replay
-    /// over one shared table.
-    ///
-    /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_shared_table(topo: &'a dyn Topology, table: Arc<RouteTable>) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::Shared(table),
+            storage: Storage::Built(routes),
             topo,
         }
     }
@@ -825,55 +901,6 @@ impl<'a> RoutedTopology<'a> {
         let rows = (0..topo.num_nodes()).map(|_| OnceLock::new()).collect();
         RoutedTopology {
             storage: Storage::Lazy(rows),
-            topo,
-        }
-    }
-
-    /// Precompute the full compressed router-pair core table up front.
-    ///
-    /// # Panics
-    /// Panics if the topology reports no usable
-    /// [`SymmetryHint::RouterSymmetric`] hint.
-    pub fn compressed(topo: &'a dyn Topology) -> Self {
-        RoutedTopology {
-            storage: Storage::Compressed(CompressedRouteTable::build(topo)),
-            topo,
-        }
-    }
-
-    /// Wrap an already-built compressed table.
-    ///
-    /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_compressed_table(topo: &'a dyn Topology, table: CompressedRouteTable) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::Compressed(table),
-            topo,
-        }
-    }
-
-    /// Borrow an already-built compressed table behind an [`Arc`] — the
-    /// compressed analogue of
-    /// [`with_shared_table`](RoutedTopology::with_shared_table).
-    ///
-    /// # Panics
-    /// Panics if the table's node count does not match the topology's.
-    pub fn with_shared_compressed(
-        topo: &'a dyn Topology,
-        table: Arc<CompressedRouteTable>,
-    ) -> Self {
-        assert_eq!(
-            table.num_nodes(),
-            topo.num_nodes(),
-            "route table built for a different machine size"
-        );
-        RoutedTopology {
-            storage: Storage::SharedCompressed(table),
             topo,
         }
     }
@@ -910,11 +937,11 @@ impl<'a> RoutedTopology<'a> {
     /// [`COMPRESSED_PAIR_LIMIT`] router pairs, lazy core rows beyond);
     /// lazy flat rows otherwise. See the constants' docs for the rationale.
     pub fn auto(topo: &'a dyn Topology) -> Self {
-        match plan_storage(topo) {
-            StoragePlan::Dense => Self::dense(topo),
-            StoragePlan::Compressed => Self::compressed(topo),
-            StoragePlan::LazyCompressed => Self::lazy_compressed(topo),
-            StoragePlan::Lazy => Self::lazy(topo),
+        let plan = plan_storage(topo);
+        match Routes::build(topo, plan) {
+            Some(routes) => Self::with_routes(topo, routes),
+            None if plan == StoragePlan::LazyCompressed => Self::lazy_compressed(topo),
+            None => Self::lazy(topo),
         }
     }
 
@@ -933,8 +960,7 @@ impl<'a> RoutedTopology<'a> {
     /// The dense table, when this handle holds (or shares) one.
     pub fn table(&self) -> Option<&RouteTable> {
         match &self.storage {
-            Storage::Dense(t) => Some(t),
-            Storage::Shared(t) => Some(t),
+            Storage::Built(Routes::Dense(t)) => Some(t),
             _ => None,
         }
     }
@@ -942,8 +968,7 @@ impl<'a> RoutedTopology<'a> {
     /// The compressed table, when this handle holds (or shares) one.
     pub fn compressed_table(&self) -> Option<&CompressedRouteTable> {
         match &self.storage {
-            Storage::Compressed(t) => Some(t),
-            Storage::SharedCompressed(t) => Some(t),
+            Storage::Built(Routes::Compressed(t)) => Some(t),
             _ => None,
         }
     }
@@ -966,31 +991,19 @@ impl<'a> RoutedTopology<'a> {
         scratch: &'s mut Vec<LinkId>,
     ) -> &'s [LinkId] {
         match &self.storage {
-            Storage::Dense(table) => table.route_of(src, dst),
-            Storage::Shared(table) => table.route_of(src, dst),
-            Storage::Compressed(table) => table.route_of(src, dst, scratch),
-            Storage::SharedCompressed(table) => table.route_of(src, dst, scratch),
+            Storage::Built(Routes::Dense(table)) => table.route_of(src, dst),
+            Storage::Built(Routes::Compressed(table)) => table.route_of(src, dst, scratch),
             Storage::Lazy(rows) => rows[src.idx()]
                 .get_or_init(|| SourceRow::build(self.topo, src))
                 .route_of(dst),
             Storage::LazyCompressed {
-                nodes_per_router,
+                nodes_per_router: p,
                 rows,
-            } => {
-                scratch.clear();
-                if src == dst {
-                    return scratch;
-                }
-                scratch.push(LinkId(src.0));
-                let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
-                if rs != rd {
-                    let row =
-                        rows[rs].get_or_init(|| SourceRow::cores(self.topo, *nodes_per_router, rs));
-                    scratch.extend_from_slice(row.route_of(NodeId(rd as u32)));
-                }
-                scratch.push(LinkId(dst.0));
-                scratch
-            }
+            } => expand_route(src, dst, *p, scratch, |rs, rd| {
+                rows[rs]
+                    .get_or_init(|| SourceRow::cores(self.topo, *p, rs))
+                    .route_of(NodeId(rd as u32))
+            }),
             Storage::Direct => {
                 scratch.clear();
                 self.topo.route_into(src, dst, scratch);
@@ -1005,28 +1018,19 @@ impl<'a> RoutedTopology<'a> {
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
         match &self.storage {
-            Storage::Dense(table) => table.hops(src, dst),
-            Storage::Shared(table) => table.hops(src, dst),
-            Storage::Compressed(table) => table.hops(src, dst),
-            Storage::SharedCompressed(table) => table.hops(src, dst),
+            Storage::Built(Routes::Dense(table)) => table.hops(src, dst),
+            Storage::Built(Routes::Compressed(table)) => table.hops(src, dst),
             Storage::Lazy(rows) => rows[src.idx()]
                 .get_or_init(|| SourceRow::build(self.topo, src))
                 .hops(dst),
             Storage::LazyCompressed {
-                nodes_per_router,
+                nodes_per_router: p,
                 rows,
-            } => {
-                if src == dst {
-                    return 0;
-                }
-                let (rs, rd) = (src.idx() / nodes_per_router, dst.idx() / nodes_per_router);
-                if rs == rd {
-                    return 2;
-                }
-                2 + rows[rs]
-                    .get_or_init(|| SourceRow::cores(self.topo, *nodes_per_router, rs))
+            } => expand_hops(src, dst, *p, |rs, rd| {
+                rows[rs]
+                    .get_or_init(|| SourceRow::cores(self.topo, *p, rs))
                     .hops(NodeId(rd as u32))
-            }
+            }),
             Storage::Direct => self.topo.hops(src, dst),
         }
     }
@@ -1048,7 +1052,7 @@ mod tests {
     #[test]
     fn dense_table_matches_route_into_everywhere() {
         for topo in all_topos() {
-            let table = topo.route_table();
+            let table = RouteTable::build(topo.as_ref());
             let n = topo.num_nodes();
             let mut buf = Vec::new();
             for s in 0..n {
@@ -1128,11 +1132,11 @@ mod tests {
     }
 
     #[test]
-    fn shared_table_agrees_with_dense_across_handles() {
+    fn shared_dense_routes_agree_with_dense_across_handles() {
         let topo = Torus3D::new([3, 3, 2]);
         let table = Arc::new(RouteTable::build(&topo));
-        let a = RoutedTopology::with_shared_table(&topo, Arc::clone(&table));
-        let b = RoutedTopology::with_shared_table(&topo, Arc::clone(&table));
+        let a = RoutedTopology::with_routes(&topo, Routes::Dense(Arc::clone(&table)));
+        let b = RoutedTopology::with_routes(&topo, Routes::Dense(Arc::clone(&table)));
         let dense = RoutedTopology::dense(&topo);
         let (mut s1, mut s2, mut s3) = (Vec::new(), Vec::new(), Vec::new());
         for s in 0..topo.num_nodes() {
@@ -1152,20 +1156,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different machine size")]
-    fn shared_table_rejects_size_mismatch() {
+    fn with_routes_rejects_size_mismatch() {
         let a = Torus3D::new([2, 2, 2]);
         let b = Torus3D::new([3, 3, 3]);
-        let table = Arc::new(RouteTable::build(&a));
-        RoutedTopology::with_shared_table(&b, table);
-    }
-
-    #[test]
-    #[should_panic(expected = "different machine size")]
-    fn with_table_rejects_size_mismatch() {
-        let a = Torus3D::new([2, 2, 2]);
-        let b = Torus3D::new([3, 3, 3]);
-        let table = RouteTable::build(&a);
-        RoutedTopology::with_table(&b, table);
+        let routes = Routes::build(&a, StoragePlan::Dense).unwrap();
+        RoutedTopology::with_routes(&b, routes);
     }
 
     #[test]
@@ -1430,8 +1425,8 @@ mod tests {
     fn shared_compressed_agrees_across_handles() {
         let topo = crate::SlimFly::new(5, 2);
         let table = Arc::new(CompressedRouteTable::build(&topo));
-        let a = RoutedTopology::with_shared_compressed(&topo, Arc::clone(&table));
-        let b = RoutedTopology::with_shared_compressed(&topo, Arc::clone(&table));
+        let a = RoutedTopology::with_routes(&topo, Routes::Compressed(Arc::clone(&table)));
+        let b = RoutedTopology::with_routes(&topo, Routes::Compressed(Arc::clone(&table)));
         let dense = RoutedTopology::dense(&topo);
         let (mut s1, mut s2, mut s3) = (Vec::new(), Vec::new(), Vec::new());
         for s in 0..topo.num_nodes() {
@@ -1444,5 +1439,61 @@ mod tests {
             }
         }
         assert_eq!(Arc::strong_count(&table), 3);
+    }
+
+    #[test]
+    fn routes_codec_dispatches_on_variant() {
+        use crate::SlimFly;
+        let flat = Routes::Dense(Arc::new(RouteTable::build(&Torus3D::new([3, 3, 3]))));
+        let comp = Routes::Compressed(Arc::new(CompressedRouteTable::build(&SlimFly::new(5, 2))));
+        let flat2 = Routes::from_bytes(&flat.to_bytes()).unwrap();
+        let comp2 = Routes::from_bytes(&comp.to_bytes()).unwrap();
+        assert!(matches!(flat2, Routes::Dense(_)));
+        assert!(matches!(comp2, Routes::Compressed(_)));
+        assert_eq!(flat2.to_bytes(), flat.to_bytes());
+        assert_eq!(comp2.to_bytes(), comp.to_bytes());
+        assert!(Routes::from_bytes(b"garbage").is_err());
+    }
+
+    #[test]
+    fn routes_fit_only_the_planned_table_of_their_topology() {
+        let torus = Torus3D::new([3, 3, 3]);
+        let dense = Routes::build(&torus, StoragePlan::Dense).unwrap();
+        assert!(dense.fits(&torus, StoragePlan::Dense));
+        assert!(!dense.fits(&torus, StoragePlan::Compressed), "wrong format");
+        assert!(
+            !dense.fits(&Torus3D::new([3, 3, 2]), StoragePlan::Dense),
+            "wrong node count"
+        );
+
+        // 100 nodes each: Slim Fly routers hold 2, HyperX routers 4.
+        let sf = crate::SlimFly::new(5, 2);
+        let hx = crate::HyperX::new(vec![5, 5], 4);
+        assert_eq!(sf.num_nodes(), hx.num_nodes());
+        let comp = Routes::build(&sf, StoragePlan::Compressed).unwrap();
+        assert!(comp.fits(&sf, StoragePlan::Compressed));
+        assert!(!comp.fits(&sf, StoragePlan::Dense), "wrong format");
+        let hx_comp = Routes::build(&hx, StoragePlan::Compressed).unwrap();
+        assert!(
+            !hx_comp.fits(&sf, StoragePlan::Compressed),
+            "wrong router size"
+        );
+
+        // A well-formed blob naming a link the topology lacks decodes, but
+        // does not fit.
+        for (routes, topo, plan) in [
+            (&dense, &torus as &dyn Topology, StoragePlan::Dense),
+            (&comp, &sf, StoragePlan::Compressed),
+        ] {
+            let mut bytes = routes.to_bytes();
+            let last = bytes.len() - 4;
+            bytes[last..].copy_from_slice(&(topo.links().len() as u32).to_le_bytes());
+            let forged = Routes::from_bytes(&bytes).unwrap();
+            assert!(
+                !forged.fits(topo, plan),
+                "{}: link id out of range",
+                topo.name()
+            );
+        }
     }
 }

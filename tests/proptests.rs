@@ -14,7 +14,7 @@ use netloc::mpi::{
     TraceBuilder,
 };
 use netloc::topology::bfs::BfsRouter;
-use netloc::topology::{grid, Dragonfly, FatTree, Mapping, NodeId, Topology, Torus3D};
+use netloc::topology::{grid, Dragonfly, FatTree, Mapping, NodeId, RouteTable, Topology, Torus3D};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -310,7 +310,8 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
     check(
         "analyze_network_invariant_under_pair_order_and_chunking",
         |rng| {
-            use netloc::core::{analyze_network, analyze_network_chunked};
+            use netloc::core::{analyze_network, analyze_network_routed_chunked};
+            use netloc::topology::RoutedTopology;
             use rand::seq::SliceRandom;
             let n = 24u32;
             let mut sends: Vec<(u32, u32, u64, u64)> = (0..rng.gen_range(5usize..60))
@@ -346,7 +347,12 @@ fn analyze_network_invariant_under_pair_order_and_chunking() {
             for chunk in [1, rng.gen_range(1..=pairs), pairs] {
                 assert_eq!(
                     base,
-                    analyze_network_chunked(&topo, &mapping, &tm, chunk),
+                    analyze_network_routed_chunked(
+                        &RoutedTopology::direct(&topo),
+                        &mapping,
+                        &tm,
+                        chunk
+                    ),
                     "report depends on chunk size {chunk}"
                 );
             }
@@ -929,7 +935,7 @@ fn compressed_replay_matches_dense_on_symmetric_machines() {
 #[test]
 fn dense_table_from_cores_matches_route_into() {
     fn assert_table_matches(topo: &dyn Topology) {
-        let table = topo.route_table();
+        let table = RouteTable::build(topo);
         let n = topo.num_nodes();
         let mut direct = Vec::new();
         for s in 0..n {

@@ -14,6 +14,7 @@ use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
 use netloc::testkit::fault;
 use netloc::testkit::RetryPolicy;
+use netloc::topology::{RouteTable, Torus3D};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
@@ -200,6 +201,46 @@ fn server_recovers_from_a_fully_corrupted_data_dir() {
         "corrupt entries must be quarantined, got {stats:?}"
     );
     assert_eq!(server.state().handler_panics.load(Ordering::Relaxed), 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `tables/` entry whose frame is valid but whose route table names a
+/// link the topology lacks must be rebuilt, not replayed. The frame digest
+/// is FxHash, not a MAC, so anyone who can write to `--data-dir` can forge
+/// such a frame; a stale table layout looks the same.
+#[test]
+fn forged_route_table_with_an_unknown_link_is_rebuilt() {
+    let dir = tmpdir("forged-table");
+    let body = analyze_body(&sample_trace_text());
+    let fresh_server = start(test_config());
+    let fresh = client::post(fresh_server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(fresh.status, 200, "{}", fresh.body_str());
+    fresh_server.shutdown();
+
+    // The first stored link id belongs to route 0 → 1, which the sample
+    // trace sends over; point it past the torus's links.
+    let n = 27;
+    let mut blob = RouteTable::build(&Torus3D::new([3, 3, 3])).to_bytes();
+    let first_link = 8 + 4 * (n * n + 1);
+    blob[first_link..first_link + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    {
+        let store = DiskStore::open(&dir).expect("store opens");
+        store.put(Kind::Table, "torus:3,3,3", &blob);
+        store.flush();
+    }
+
+    let server = start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..test_config()
+    });
+    let resp = client::post(server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body, fresh.body, "same bytes as a fresh server");
+    let state = server.state();
+    assert_eq!(state.handler_panics.load(Ordering::Relaxed), 0);
+    assert_eq!(state.topo_cache.tables_built(), 1, "forged table rebuilt");
+    assert_eq!(state.topo_cache.tables_from_disk(), 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
