@@ -6,9 +6,9 @@
 //!
 //! | config          | topology               | nodes  | route storage |
 //! |-----------------|------------------------|--------|---------------|
-//! | `torus-1728`    | `Torus3D [12,12,12]`   | 1 728  | dense CSR     |
+//! | `torus-1728`    | `Torus3D [12,12,12]`   | 1 728  | direct        |
 //! | `fat-tree-2592` | `FatTree::new(48, 3)`  | 13 824 | compressed    |
-//! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | dense CSR     |
+//! | `dragonfly-1056`| `Dragonfly::new(8,4,4)`| 1 056  | compressed    |
 //!
 //! Each config replays an all-to-all matrix (the paper's BigFFT-style
 //! worst case, and the pair-densest cell of any sweep) under the paper's
@@ -17,7 +17,9 @@
 //! scattered at random). The block placements are where node-pair
 //! deduplication bites — up to 16× fewer unique routes at 4 ranks/node.
 //! Reported per cell: wall-clock, rank-pairs/s and packets/s for both
-//! paths plus the speedup. Every cell first asserts the two paths produce
+//! paths plus the speedup, and the end-to-end time of the CSR path with
+//! its route storage build (`build_plus_replay_s`) plus that speedup.
+//! Every cell first asserts the two paths produce
 //! byte-identical [`NetworkReport`](netloc_core::NetworkReport)s, so the
 //! benchmark doubles as a differential check.
 //!
@@ -30,7 +32,8 @@
 //! direct routing, and demands a ≥10× size reduction over the flat
 //! projection. The smoke run keeps one mid-size Slim Fly cell plus tiny
 //! Slim Fly and fat-tree twins on which compressed, dense and
-//! lazy-compressed routes are compared with direct routing exhaustively.
+//! lazy-compressed routes are compared with direct routing exhaustively,
+//! and a tiny torus twin on which `auto` must not precompute anything.
 //!
 //! Results are written to `BENCH_netmodel.json`
 //! (`schema_version`-tagged; see [`validate_json`]). `--smoke` swaps in
@@ -53,8 +56,10 @@ use std::time::Instant;
 /// Version tag of the `BENCH_netmodel.json` layout. Bump on any field
 /// rename or removal; CI smoke mode fails when the written file does not
 /// match [`validate_json`] for this version. v2 added the `scale` column
-/// (compressed route tables on zoo machines).
-pub const SCHEMA_VERSION: u32 = 2;
+/// (compressed route tables on zoo machines); v3 renamed `dense_table` to
+/// `precomputed` and added `build_plus_replay_s` and
+/// `build_plus_replay_speedup`.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Message payload in bytes (multiple packets per message).
 const MESSAGE_BYTES: u64 = 4096;
@@ -127,9 +132,9 @@ pub struct BenchRow {
     pub node_pairs: usize,
     /// Total packets replayed.
     pub packets: u64,
-    /// Whether the route table is a dense CSR (vs lazy per-source rows).
-    pub dense_table: bool,
-    /// One-time route-table construction cost (dense mode; ~0 for lazy).
+    /// Whether `auto` precomputed route storage (vs direct routing).
+    pub precomputed: bool,
+    /// One-time route storage construction cost (~0 for direct routing).
     pub table_build_s: f64,
     /// Pre-PR path: best wall-clock over the timing iterations.
     pub baseline_s: f64,
@@ -145,6 +150,10 @@ pub struct BenchRow {
     pub routed_packets_per_s: f64,
     /// `baseline_s / routed_s`.
     pub speedup: f64,
+    /// `table_build_s + routed_s`: the CSR path end to end, setup included.
+    pub build_plus_replay_s: f64,
+    /// `baseline_s / build_plus_replay_s`.
+    pub build_plus_replay_speedup: f64,
 }
 
 /// One compressed-route-table scale measurement (see [`run_scale`]).
@@ -236,7 +245,6 @@ pub fn run(smoke: bool) -> BenchReport {
 
             // Warm-up doubles as the differential guard: both paths must
             // produce byte-identical reports before any number is trusted.
-            // For lazy tables this also pays the one-time row fills.
             let base_rep = analyze_network_rank_pairs(topo, &mapping, &tm, chunk);
             let routed_rep = analyze_network_routed(&routed, &mapping, &tm);
             assert_eq!(
@@ -256,6 +264,7 @@ pub fn run(smoke: bool) -> BenchReport {
             });
 
             let packets = base_rep.packets;
+            let build_plus_replay_s = table_build_s + routed_s;
             let row = BenchRow {
                 config: cfg.name.to_string(),
                 nodes,
@@ -265,7 +274,7 @@ pub fn run(smoke: bool) -> BenchReport {
                 rank_pairs,
                 node_pairs,
                 packets,
-                dense_table: routed.is_precomputed(),
+                precomputed: routed.is_precomputed(),
                 table_build_s,
                 baseline_s,
                 routed_s,
@@ -274,16 +283,20 @@ pub fn run(smoke: bool) -> BenchReport {
                 baseline_packets_per_s: packets as f64 / baseline_s,
                 routed_packets_per_s: packets as f64 / routed_s,
                 speedup: baseline_s / routed_s,
+                build_plus_replay_s,
+                build_plus_replay_speedup: baseline_s / build_plus_replay_s,
             };
             println!(
-                "[bench] {:<14} {:<11} pairs={:>7} nodepairs={:>7} base={:>9.1}ms routed={:>9.1}ms speedup={:.2}x",
+                "[bench] {:<14} {:<11} pairs={:>7} nodepairs={:>7} base={:>9.1}ms routed={:>9.1}ms speedup={:.2}x build+routed={:>9.1}ms speedup={:.2}x",
                 row.config,
                 row.mapping,
                 row.rank_pairs,
                 row.node_pairs,
                 row.baseline_s * 1e3,
                 row.routed_s * 1e3,
-                row.speedup
+                row.speedup,
+                row.build_plus_replay_s * 1e3,
+                row.build_plus_replay_speedup
             );
             results.push(row);
         }
@@ -329,7 +342,9 @@ const SCALE_VERIFY_PAIRS: usize = 4096;
 ///
 /// In smoke mode tiny Slim Fly and fat-tree twins additionally compare
 /// compressed, dense and lazy-compressed storage with direct routing on
-/// *all* pairs, so CI pins the equivalence the big cells can only sample.
+/// *all* pairs, so CI pins the equivalence the big cells can only sample,
+/// and a tiny torus twin pins that `auto` routes asymmetric machines
+/// directly.
 pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
     let iters = if smoke { 1 } else { FULL_ITERS };
     let mut rows = Vec::new();
@@ -343,7 +358,7 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
         let build_s = t.elapsed().as_secs_f64();
         let table = routed
             .compressed_table()
-            .expect("scale machines are past the dense limit and router-symmetric");
+            .expect("scale machines are router-symmetric");
         let routers = table.num_routers();
         let table_bytes = table.memory_bytes();
         let flat_projection_bytes = table.flat_projection_bytes();
@@ -416,9 +431,8 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
 
     if smoke {
         // Tiny twins: the smoke cell above can only sample; these machines
-        // are small enough to compare every storage (the dense table is
-        // expanded from the same cores) with direct routing on every
-        // ordered pair.
+        // are small enough to compare every storage with direct routing on
+        // every ordered pair.
         let twins: [(&str, Box<dyn Topology>); 2] = [
             ("slimfly:5,2", Box::new(netloc_topology::SlimFly::new(5, 2))),
             ("fattree:8,3", Box::new(FatTree::new(8, 3))),
@@ -445,6 +459,12 @@ pub fn run_scale(smoke: bool) -> Vec<ScaleRow> {
             }
             println!("[scale] twin {name:<17} compressed == lazy-compressed == dense == direct on all pairs");
         }
+        let torus = Torus3D::new([4, 4, 4]);
+        assert!(
+            !RoutedTopology::auto(&torus).is_precomputed(),
+            "auto must route the torus twin directly"
+        );
+        println!("[scale] twin torus:4,4,4       auto routes directly (no table)");
     }
     rows
 }
@@ -512,8 +532,8 @@ pub fn validate_json(v: &Value) -> Result<(), String> {
                 return Err(format!("results[{i}].{key} missing or not an integer"));
             }
         }
-        if !matches!(field(row, "dense_table"), Some(Value::Bool(_))) {
-            return Err(format!("results[{i}].dense_table missing or not a bool"));
+        if !matches!(field(row, "precomputed"), Some(Value::Bool(_))) {
+            return Err(format!("results[{i}].precomputed missing or not a bool"));
         }
         for key in [
             "table_build_s",
@@ -524,6 +544,8 @@ pub fn validate_json(v: &Value) -> Result<(), String> {
             "baseline_packets_per_s",
             "routed_packets_per_s",
             "speedup",
+            "build_plus_replay_s",
+            "build_plus_replay_speedup",
         ] {
             match field(row, key).and_then(finite_number) {
                 Some(x) if x >= 0.0 => {}
@@ -644,6 +666,13 @@ mod tests {
         assert!(validate_json(&bumped)
             .unwrap_err()
             .contains("schema_version"));
+
+        let json = serde_json::to_string(&tree).unwrap();
+        let without_end_to_end =
+            serde_json::from_str(&json.replace("\"build_plus_replay_s\"", "\"other\"")).unwrap();
+        assert!(validate_json(&without_end_to_end)
+            .unwrap_err()
+            .contains("build_plus_replay_s"));
 
         let Value::Object(fields) = tree else {
             panic!("report serializes to an object");

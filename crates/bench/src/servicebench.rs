@@ -147,10 +147,12 @@ fn bench_trace_text() -> String {
     write_trace(&b.build())
 }
 
-/// The distinct topology specs driving the cold path: tori of varying
-/// depth, each forcing its own route-table build.
+/// The distinct topology specs driving the cold path: one-node-per-router
+/// HyperX lattices of varying depth (the node counts of tori `8,8,3..`),
+/// each forcing its own compressed route-table build. Tori would not: they
+/// route directly and cache no table.
 fn topology_specs(n: usize) -> Vec<String> {
-    (0..n).map(|i| format!("torus:8,8,{}", 3 + i)).collect()
+    (0..n).map(|i| format!("hyperx:8x8x{},1", 3 + i)).collect()
 }
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {

@@ -54,5 +54,5 @@ pub use netmodel::{
 };
 pub use refmodel::analyze_network_reference;
 pub use report::{analyze_trace, TraceAnalysis};
-pub use sweep::{shard_of, sweep_grid, GridCell, GridSpec, MappingSpec, SweepCell};
+pub use sweep::{shard_of, GridCell, GridSpec, MappingSpec};
 pub use traffic::{PairTraffic, TrafficMatrix};

@@ -586,10 +586,10 @@ mod tests {
         for mapping in [Mapping::consecutive(72, 72), Mapping::block(72, 4, 72)] {
             let baseline = analyze_network_rank_pairs(&topo, &mapping, &tm, 64);
             let dense = RoutedTopology::dense(&topo);
-            let lazy = RoutedTopology::lazy(&topo);
+            let auto = RoutedTopology::auto(&topo);
             assert_eq!(analyze_network(&topo, &mapping, &tm), baseline);
             assert_eq!(analyze_network_routed(&dense, &mapping, &tm), baseline);
-            assert_eq!(analyze_network_routed(&lazy, &mapping, &tm), baseline);
+            assert_eq!(analyze_network_routed(&auto, &mapping, &tm), baseline);
             for chunk in [1, 7, 1024] {
                 assert_eq!(
                     analyze_network_routed_chunked(&dense, &mapping, &tm, chunk),

@@ -1,37 +1,15 @@
-//! Topology × mapping × workload sweep grids over shared route tables.
+//! Sweep grids: the paper's mapping schemes and the canonical
+//! topology × mapping × workload grid.
 //!
-//! The paper's results are a static grid — every application trace replayed
-//! through 3 topologies × 3 mappings × several machine sizes (§4.2, Tables
-//! 4–6). Routes depend only on the topology, so the expensive part of that
-//! grid (route computation) is shared across the whole mapping × workload
-//! plane: this module builds one [`RoutedTopology`] per topology
-//! ([`RoutedTopology::auto`]: dense CSR up to ~4M node pairs, lazy
-//! per-source rows above) and replays every cell against it via the
-//! node-pair-deduplicated path of [`crate::netmodel`].
-//!
-//! ```
-//! use netloc_core::sweep::{sweep_grid, MappingSpec};
-//! use netloc_core::TrafficMatrix;
-//! use netloc_topology::{Topology, Torus3D};
-//!
-//! let torus = Torus3D::new([3, 3, 3]);
-//! let mut ring = TrafficMatrix::new(27);
-//! for r in 0..27u32 {
-//!     ring.record(r, (r + 1) % 27, 4096, 1);
-//! }
-//! let cells = sweep_grid(
-//!     &[("torus27", &torus)],
-//!     &[MappingSpec::Consecutive, MappingSpec::Random { seed: 7 }],
-//!     &[("ring", &ring)],
-//! );
-//! assert_eq!(cells.len(), 2);
-//! assert!(cells.iter().all(|c| c.report.packets == 27));
-//! ```
+//! The paper's results are a static grid — every application trace
+//! replayed through 3 topologies × 3 mappings × several machine sizes
+//! (§4.2, Tables 4–6). [`MappingSpec`] makes its placement schemes
+//! reproducible, and [`GridSpec`] gives a grid the canonical identity that
+//! the job subsystem (service `POST /v1/jobs`, `netloc sweep`) shards,
+//! reports progress on and resumes by.
 
-use crate::netmodel::{analyze_network_routed, NetworkReport};
-use crate::traffic::TrafficMatrix;
 use netloc_topology::spec::{MappingSpec as MappingSpecStr, TopologySpec};
-use netloc_topology::{Mapping, NodeId, RoutedTopology, Topology};
+use netloc_topology::{Mapping, NodeId};
 use rand::{Rng, SeedableRng};
 
 /// How to place ranks on nodes in a sweep cell — the paper's three
@@ -101,50 +79,6 @@ impl MappingSpec {
             }
         }
     }
-}
-
-/// One cell of a sweep grid: the labels that identify it and its replay
-/// report.
-#[derive(Debug, Clone)]
-pub struct SweepCell {
-    /// Topology label (as passed to [`sweep_grid`]).
-    pub topology: String,
-    /// Mapping scheme label ([`MappingSpec::label`]).
-    pub mapping: String,
-    /// Workload label (as passed to [`sweep_grid`]).
-    pub workload: String,
-    /// The replay result for this cell.
-    pub report: NetworkReport,
-}
-
-/// Replay every workload under every mapping scheme on every topology,
-/// building the routes of each topology exactly once.
-///
-/// Cells come back in grid order (topology-major, then mapping, then
-/// workload) and are byte-identical to what per-cell
-/// [`crate::netmodel::analyze_network`] calls would produce — the sharing
-/// is purely a performance property, which the differential tests assert.
-pub fn sweep_grid(
-    topologies: &[(&str, &dyn Topology)],
-    mappings: &[MappingSpec],
-    workloads: &[(&str, &TrafficMatrix)],
-) -> Vec<SweepCell> {
-    let mut cells = Vec::with_capacity(topologies.len() * mappings.len() * workloads.len());
-    for &(tlabel, topo) in topologies {
-        let routed = RoutedTopology::auto(topo);
-        for spec in mappings {
-            for &(wlabel, tm) in workloads {
-                let mapping = spec.build(tm.num_ranks() as usize, topo.num_nodes());
-                cells.push(SweepCell {
-                    topology: tlabel.to_string(),
-                    mapping: spec.label(),
-                    workload: wlabel.to_string(),
-                    report: analyze_network_routed(&routed, &mapping, tm),
-                });
-            }
-        }
-    }
-    cells
 }
 
 // ---- persistent sweep grids ------------------------------------------
@@ -266,7 +200,7 @@ impl GridSpec {
     }
 
     /// Expand cell `index` (grid order: topology-major, then mapping,
-    /// then workload — the same order [`sweep_grid`] emits).
+    /// then workload).
     pub fn cell(&self, index: u64) -> Option<GridCell> {
         if index >= self.cell_count() {
             return None;
@@ -316,49 +250,6 @@ fn splitmix64(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netmodel::analyze_network;
-    use netloc_topology::{Dragonfly, Torus3D};
-
-    fn workload(n: u32, stride: u32) -> TrafficMatrix {
-        let mut tm = TrafficMatrix::new(n);
-        for r in 0..n {
-            tm.record(r, (r * stride + 1) % n, 2048 + r as u64, 1 + r as u64 % 2);
-        }
-        tm
-    }
-
-    #[test]
-    fn grid_cells_match_individual_replays() {
-        let torus = Torus3D::new([4, 3, 2]);
-        let df = Dragonfly::new(4, 2, 2);
-        let topologies: Vec<(&str, &dyn Topology)> = vec![("torus24", &torus), ("df72", &df)];
-        let mappings = [
-            MappingSpec::Consecutive,
-            MappingSpec::Block { cores: 4 },
-            MappingSpec::Random { seed: 42 },
-        ];
-        let w1 = workload(24, 7);
-        let w2 = workload(24, 11);
-        let workloads = [("w7", &w1), ("w11", &w2)];
-
-        let cells = sweep_grid(&topologies, &mappings, &workloads);
-        assert_eq!(cells.len(), 2 * 3 * 2);
-
-        let mut i = 0;
-        for &(tlabel, topo) in &topologies {
-            for spec in &mappings {
-                for &(wlabel, tm) in &workloads {
-                    let cell = &cells[i];
-                    i += 1;
-                    assert_eq!(cell.topology, tlabel);
-                    assert_eq!(cell.mapping, spec.label());
-                    assert_eq!(cell.workload, wlabel);
-                    let mapping = spec.build(tm.num_ranks() as usize, topo.num_nodes());
-                    assert_eq!(cell.report, analyze_network(topo, &mapping, tm));
-                }
-            }
-        }
-    }
 
     #[test]
     fn random_spec_is_seed_deterministic() {

@@ -1,20 +1,17 @@
 //! The cached shared state of the analysis server.
 //!
-//! **Level 1 — [`TopoCache`]:** one [`Routes`] (a flat `RouteTable` or a
-//! `CompressedRouteTable` behind an `Arc`) per distinct canonical
-//! topology spec, shared across every worker thread via `Arc<OnceLock<_>>`.
-//! The per-spec `OnceLock` gives single-flight semantics: when eight
-//! concurrent requests name the same topology, exactly one thread builds
-//! the table (the expensive part of a replay) and the other seven block
-//! on the lock and then share the finished `Arc`. The storage plan is
-//! `RoutedTopology::auto`'s own ([`plan_storage`]), and so is the build
-//! ([`Routes::build`]): machines within [`DENSE_PAIR_LIMIT`] ordered pairs
-//! get a flat CSR; larger router-symmetric machines within
-//! [`COMPRESSED_PAIR_LIMIT`] ordered *router* pairs get a compressed
-//! per-router table; everything else is never cached — the caller falls
-//! back to per-request lazy rows.
+//! **Level 1 — [`TopoCache`]:** one [`CompressedRouteTable`] behind an
+//! `Arc` per distinct canonical topology spec, shared across every worker
+//! thread via `Arc<OnceLock<_>>`. The per-spec `OnceLock` gives
+//! single-flight semantics: when eight concurrent requests name the same
+//! topology, exactly one thread builds the table and the other seven
+//! block on the lock and then share the finished `Arc`. The storage plan
+//! is `RoutedTopology::auto`'s own ([`plan_storage`]): router-symmetric
+//! machines within [`COMPRESSED_PAIR_LIMIT`] ordered *router* pairs get a
+//! cached compressed table; every other machine is never cached — the
+//! caller falls back to `auto`, which routes directly (or builds lazy
+//! core rows past the limit).
 //!
-//! [`DENSE_PAIR_LIMIT`]: netloc_topology::routetable::DENSE_PAIR_LIMIT
 //! [`COMPRESSED_PAIR_LIMIT`]: netloc_topology::routetable::COMPRESSED_PAIR_LIMIT
 //!
 //! **Level 2 — [`ResultCache`]:** content-addressed response bytes. The key
@@ -37,15 +34,19 @@
 //! a memory miss consults the disk (digest-verified) before recomputing,
 //! and every build/insert is queued to the store's background writer. A
 //! restart with the same `--data-dir` therefore starts warm — route
-//! tables deserialize via [`Routes::from_bytes`] instead of rebuilding,
-//! once [`Routes::fits`] has checked them against the topology,
-//! and cached responses come back byte-identical (see [`tiered_get`]).
+//! tables deserialize via [`CompressedRouteTable::from_bytes`] instead of
+//! rebuilding, once [`CompressedRouteTable::fits`] has checked them
+//! against the topology, and cached responses come back byte-identical
+//! (see [`tiered_get`]). Any other blob under a table key — such as a
+//! flat table an older server persisted — fails to decode and is rebuilt
+//! and rewritten; flat tables under specs that are no longer cached stay
+//! on disk unread.
 
 use crate::store::{DiskStore, Kind};
 use netloc_core::canon::content_digest;
 use netloc_core::{IngestResult, PairTraffic};
-use netloc_topology::routetable::{plan_storage, Routes, StoragePlan};
-use netloc_topology::Topology;
+use netloc_topology::routetable::{plan_storage, StoragePlan};
+use netloc_topology::{CompressedRouteTable, Topology};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,7 +56,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// optionally persisted to a [`DiskStore`].
 #[derive(Default)]
 pub struct TopoCache {
-    cells: Mutex<HashMap<String, Arc<OnceLock<Routes>>>>,
+    cells: Mutex<HashMap<String, Arc<OnceLock<Arc<CompressedRouteTable>>>>>,
     store: Option<Arc<DiskStore>>,
     builds: AtomicU64,
     from_disk: AtomicU64,
@@ -73,11 +74,14 @@ impl TopoCache {
 
     /// The shared route table for `canonical_spec`, building it from
     /// `topo` on first use (single-flight: concurrent callers block on one
-    /// build). Returns `None` for machines [`plan_storage`] plans lazy
-    /// rows for; those run with per-request lazy rows instead.
-    pub fn routes(&self, canonical_spec: &str, topo: &dyn Topology) -> Option<Routes> {
-        let plan = plan_storage(topo);
-        if matches!(plan, StoragePlan::Lazy | StoragePlan::LazyCompressed) {
+    /// build). Returns `None` unless [`plan_storage`] plans a compressed
+    /// table for the machine.
+    pub fn routes(
+        &self,
+        canonical_spec: &str,
+        topo: &dyn Topology,
+    ) -> Option<Arc<CompressedRouteTable>> {
+        if plan_storage(topo) != StoragePlan::Compressed {
             return None;
         }
         let cell = {
@@ -89,29 +93,28 @@ impl TopoCache {
             )
         };
         let routes = cell.get_or_init(|| {
-            // Read-through: a verified disk entry replaces the expensive
-            // build only when it is the planned table of this very machine
-            // (`Routes::fits`). A stale layout, another machine size or a
-            // forged frame is a miss and gets rebuilt and rewritten.
+            // Read-through: a verified disk entry replaces the build only
+            // when it is a table of this very machine (`fits`). A stale
+            // layout, another machine size or a forged frame is a miss and
+            // gets rebuilt and rewritten.
             let restored = self
                 .store
                 .as_ref()
                 .and_then(|store| store.get(Kind::Table, canonical_spec))
-                .and_then(|bytes| Routes::from_bytes(&bytes).ok())
-                .filter(|routes| routes.fits(topo, plan));
-            if let Some(routes) = restored {
+                .and_then(|bytes| CompressedRouteTable::from_bytes(&bytes).ok())
+                .filter(|table| table.fits(topo));
+            if let Some(table) = restored {
                 self.from_disk.fetch_add(1, Ordering::Relaxed);
-                return routes;
+                return Arc::new(table);
             }
             self.builds.fetch_add(1, Ordering::Relaxed);
-            let routes =
-                Routes::build(topo, plan).expect("dense and compressed plans build tables");
+            let table = CompressedRouteTable::build(topo);
             if let Some(store) = &self.store {
-                store.put(Kind::Table, canonical_spec, &routes.to_bytes());
+                store.put(Kind::Table, canonical_spec, &table.to_bytes());
             }
-            routes
+            Arc::new(table)
         });
-        Some(routes.clone())
+        Some(Arc::clone(routes))
     }
 
     /// Route tables actually built so far (disk restores are counted
@@ -436,7 +439,7 @@ pub struct ResultCacheStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netloc_topology::Torus3D;
+    use netloc_topology::{HyperX, Torus3D};
 
     #[test]
     fn topo_cache_builds_once_across_threads() {
@@ -445,11 +448,10 @@ mod tests {
             .map(|_| {
                 let cache = Arc::clone(&cache);
                 std::thread::spawn(move || {
-                    let topo = Torus3D::new([3, 3, 3]);
-                    match cache.routes("torus:3,3,3", &topo) {
-                        Some(Routes::Dense(t)) => t,
-                        _ => panic!("a 27-node torus is planned dense"),
-                    }
+                    let topo = HyperX::new(vec![3, 3], 3);
+                    cache
+                        .routes("hyperx:3x3,3", &topo)
+                        .expect("a 27-node HyperX is planned compressed")
                 })
             })
             .collect();
@@ -464,9 +466,12 @@ mod tests {
     #[test]
     fn topo_cache_declines_oversized_machines() {
         let cache = TopoCache::default();
-        // 44³ = 85 184 nodes → 7.3e9 ordered pairs, far over the limit.
+        // 44³ = 85 184 nodes and no router symmetry: routed directly.
         let big = Torus3D::new([44, 44, 44]);
         assert!(cache.routes("torus:44,44,44", &big).is_none());
+        // 9 000 routers → 8.1e7 router pairs, past the compressed limit.
+        let wide = netloc_topology::Jellyfish::new(9_000, 4, 1, 1);
+        assert!(cache.routes("jellyfish:9000,4,1,1", &wide).is_none());
         assert_eq!(cache.tables_built(), 0);
     }
 
@@ -636,11 +641,11 @@ mod tests {
     #[test]
     fn topo_cache_restores_tables_from_disk_instead_of_rebuilding() {
         let dir = tmpdir("topo");
-        let topo = Torus3D::new([3, 4, 2]);
+        let topo = HyperX::new(vec![3, 4], 2);
         let built = {
             let store = DiskStore::open(&dir).unwrap();
             let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-            let t = cache.routes("torus:3,4,2", &topo).unwrap();
+            let t = cache.routes("hyperx:3x4,2", &topo).unwrap();
             assert_eq!(cache.tables_built(), 1);
             assert_eq!(cache.tables_from_disk(), 0);
             store.flush();
@@ -649,7 +654,7 @@ mod tests {
         // "Restart": fresh cache over the same store.
         let store = DiskStore::open(&dir).unwrap();
         let cache = TopoCache::with_store(Some(Arc::clone(&store)));
-        let restored = cache.routes("torus:3,4,2", &topo).unwrap();
+        let restored = cache.routes("hyperx:3x4,2", &topo).unwrap();
         assert_eq!(cache.tables_built(), 0, "no rebuild after restart");
         assert_eq!(cache.tables_from_disk(), 1);
         assert_eq!(
@@ -662,17 +667,17 @@ mod tests {
     }
 
     #[test]
-    fn topo_cache_serves_compressed_routes_past_the_dense_limit() {
+    fn topo_cache_serves_compressed_routes() {
         use netloc_topology::{NodeId, SlimFly};
-        // 2·13²·7 = 2366 nodes → 5.6M ordered pairs: past the dense limit,
-        // but router-symmetric, so the cache plans a compressed table.
+        // 2·13²·7 = 2366 nodes on 338 routers: router-symmetric, so the
+        // cache plans a compressed table.
         let topo = SlimFly::new(13, 7);
         let cache = TopoCache::default();
         let routes = cache.routes("slimfly:13,7", &topo).unwrap();
-        assert!(matches!(routes, Routes::Compressed(_)));
+        assert_eq!(routes.num_routers(), 338);
         assert_eq!(cache.tables_built(), 1);
         // The cached storage routes identically to the topology itself.
-        let routed = netloc_topology::RoutedTopology::with_routes(&topo, routes);
+        let routed = netloc_topology::RoutedTopology::with_compressed(&topo, routes);
         let mut scratch = Vec::new();
         for (s, d) in [(0u32, 1u32), (0, 2365), (1234, 17)] {
             assert_eq!(
@@ -700,7 +705,6 @@ mod tests {
         let restored = cache.routes("slimfly:13,7", &topo).unwrap();
         assert_eq!(cache.tables_built(), 0, "no rebuild after restart");
         assert_eq!(cache.tables_from_disk(), 1);
-        assert!(matches!(restored, Routes::Compressed(_)));
         assert_eq!(
             restored.to_bytes(),
             built.to_bytes(),
@@ -712,16 +716,33 @@ mod tests {
 
     #[test]
     fn topo_cache_rebuilds_tables_that_do_not_fit_their_spec() {
-        use netloc_topology::{RouteTable, SlimFly};
+        use netloc_topology::{NodeId, SlimFly};
         let dir = tmpdir("mismatch");
-        // slimfly:13,7 plans a compressed table; under it lies a
-        // well-formed flat one. torus:3,3,3 plans a flat table; under it
-        // lies one of another machine size.
-        let flat = RouteTable::build(&SlimFly::new(5, 2)).to_bytes();
-        let resized = RouteTable::build(&Torus3D::new([3, 3, 2])).to_bytes();
+        // Under slimfly:13,7 lies a well-formed table in the flat format
+        // older servers persisted: `[n u64][offsets: (n²+1) × u32][links ×
+        // u32]`. Under hyperx:3x3,3 lies a compressed table of another
+        // machine size.
+        let small = SlimFly::new(5, 2);
+        let n = small.num_nodes();
+        let (mut offsets, mut links) = (vec![0u32], Vec::new());
+        for s in 0..n as u32 {
+            for d in 0..n as u32 {
+                links.extend(small.route(NodeId(s), NodeId(d)).iter().map(|l| l.0));
+                offsets.push(links.len() as u32);
+            }
+        }
+        let mut flat = (n as u64).to_le_bytes().to_vec();
+        for word in offsets.iter().chain(&links) {
+            flat.extend_from_slice(&word.to_le_bytes());
+        }
+        let resized = CompressedRouteTable::build(&HyperX::new(vec![3, 3], 2)).to_bytes();
         let cases: [(&str, Box<dyn Topology>, &[u8]); 2] = [
             ("slimfly:13,7", Box::new(SlimFly::new(13, 7)), &flat),
-            ("torus:3,3,3", Box::new(Torus3D::new([3, 3, 3])), &resized),
+            (
+                "hyperx:3x3,3",
+                Box::new(HyperX::new(vec![3, 3], 3)),
+                &resized,
+            ),
         ];
         {
             let store = DiskStore::open(&dir).unwrap();

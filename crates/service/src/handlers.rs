@@ -638,11 +638,10 @@ fn decode_windows(fields: &[(String, Value)]) -> Result<Option<usize>, Response>
 // ---- analysis endpoints ----------------------------------------------
 
 /// Build the topology and its routed view, then run `work` against it.
-/// The topo cache's shared [`Routes`](netloc_topology::routetable::Routes)
-/// (flat or compressed) when it accepts the machine, per-request lazy rows
-/// otherwise; all modes produce identical reports. Shared with the job
-/// subsystem, which is how job cells ride the same single-flight route
-/// tables as interactive requests.
+/// The topo cache's shared compressed table when it accepts the machine,
+/// `RoutedTopology::auto` otherwise; all modes produce identical reports.
+/// Shared with the job subsystem, which is how job cells ride the same
+/// single-flight route tables as interactive requests.
 pub(crate) fn with_routed<T>(
     state: &AppState,
     topo_spec: &TopologySpec,
@@ -651,9 +650,9 @@ pub(crate) fn with_routed<T>(
     let topo = topo_spec.build()?;
     let canonical = topo_spec.to_string();
     let routed = match state.topo_cache.routes(&canonical, topo.as_ref()) {
-        Some(routes) => RoutedTopology::with_routes(topo.as_ref(), routes),
-        // Past both cache limits, `auto` plans lazy rows: per-router core
-        // rows when the machine is router-symmetric, flat rows otherwise.
+        Some(table) => RoutedTopology::with_compressed(topo.as_ref(), table),
+        // Not cached: `auto` routes directly, or builds lazy core rows for
+        // a router-symmetric machine past the compressed limit.
         None => RoutedTopology::auto(topo.as_ref()),
     };
     Ok(work(&routed))

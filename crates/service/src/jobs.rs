@@ -5,10 +5,10 @@
 //! ([`netloc_core::sweep::GridSpec`]) into a *job*: every cell becomes a
 //! unit of background work on the existing worker pool, scheduled
 //! through the queue's low-priority lane so interactive requests are
-//! never starved. Cells share the topo cache's single-flight `Routes`
-//! tables exactly like `/v1/analyze` does — a 50-topology grid builds 50
-//! route tables, once each, regardless of how many mapping × workload
-//! cells ride on them.
+//! never starved. Cells share the topo cache's single-flight compressed
+//! route tables exactly like `/v1/analyze` does — a grid of 50
+//! router-symmetric topologies builds 50 tables, once each, regardless of
+//! how many mapping × workload cells ride on them.
 //!
 //! **Durability model.** A cell's payload is the canonical
 //! `AnalyzeResponse` bytes under the *same* content-addressed key

@@ -8,9 +8,10 @@
 //! an acceptor thread feeds a bounded [`queue::JobQueue`] drained by a
 //! worker pool. Two levels of shared state make repeated queries cheap:
 //!
-//! 1. [`cache::TopoCache`] — one CSR [`netloc_topology::RouteTable`] per
-//!    distinct canonical topology spec, built single-flight and shared
-//!    across workers via `Arc<OnceLock<_>>`;
+//! 1. [`cache::TopoCache`] — one [`netloc_topology::CompressedRouteTable`]
+//!    per distinct canonical spec of a router-symmetric topology, built
+//!    single-flight and shared across workers via `Arc<OnceLock<_>>`
+//!    (other topologies route directly);
 //! 2. [`cache::ResultCache`] — content-addressed response bytes keyed by
 //!    `digest(trace)|topology|mapping` in canonical spelling, LRU-bounded
 //!    by size, returning byte-identical JSON on a hit.

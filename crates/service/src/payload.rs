@@ -156,7 +156,7 @@ fn undirected_if_needed(tm: &TrafficMatrix, map_specs: &[MappingSpec]) -> Vec<Tr
 /// `TrafficMatrix::from_trace_full`).
 ///
 /// This is the service's entire analysis path; the caller decides how
-/// `routed` was obtained (shared cached table or per-request lazy rows),
+/// `routed` was obtained (shared cached table or `RoutedTopology::auto`),
 /// which cannot change the result — only how fast it arrives.
 pub fn analyze(
     trace: &Trace,

@@ -569,16 +569,16 @@ mod tests {
     }
 
     #[test]
-    fn lazy_and_dense_storage_agree() {
+    fn auto_and_dense_storage_agree() {
         let topo = Torus3D::new([4, 4, 1]);
         let m = Mapping::consecutive(16, 16);
         let msgs = crowded(800, 16);
         let dense = RoutedTopology::dense(&topo);
-        let lazy = RoutedTopology::lazy(&topo);
+        let auto = RoutedTopology::auto(&topo);
         let exec = SimExec::default();
         assert_eq!(
             simulate_parallel(&dense, &m, &msgs, &cfg(), &exec),
-            simulate_parallel(&lazy, &m, &msgs, &cfg(), &exec)
+            simulate_parallel(&auto, &m, &msgs, &cfg(), &exec)
         );
     }
 }

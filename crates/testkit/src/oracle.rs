@@ -123,10 +123,10 @@ pub fn check_routes(topo: &dyn Topology, allow_one_hop_detour: bool) -> (Vec<Str
     (violations, pairs)
 }
 
-/// Compare the precomputed CSR storage against direct routing for every
-/// node pair: the dense [`RouteTable`] and the lazy per-source rows must
-/// both return routes *byte-identical* to [`Topology::route_into`], with
-/// matching CSR hop counts. Router-symmetric topologies additionally
+/// Compare route storage against direct routing for every node pair: the
+/// dense [`RouteTable`] and the storage [`RoutedTopology::auto`] picks
+/// must both return routes *byte-identical* to [`Topology::route_into`],
+/// with matching hop counts. Router-symmetric topologies additionally
 /// check the compressed per-router table and the lazy compressed core rows
 /// on every pair.
 ///
@@ -134,7 +134,7 @@ pub fn check_routes(topo: &dyn Topology, allow_one_hop_detour: bool) -> (Vec<Str
 /// checked (each pair checks every applicable storage mode).
 pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
     let table = RouteTable::build(topo);
-    let lazy = RoutedTopology::lazy(topo);
+    let auto = RoutedTopology::auto(topo);
     let symmetric = topo.symmetry_hint().is_some();
     let compressed_modes = if symmetric {
         vec![
@@ -179,10 +179,10 @@ pub fn check_route_table(topo: &dyn Topology) -> (Vec<String>, u64) {
                     direct.len()
                 ));
             }
-            let lazy_route = lazy.route_of(src, dst, &mut scratch);
-            if lazy_route != direct {
+            let auto_route = auto.route_of(src, dst, &mut scratch);
+            if auto_route != direct {
                 violations.push(format!(
-                    "{s}->{d}: lazy row route {lazy_route:?} != route_into {direct:?}"
+                    "{s}->{d}: auto storage route {auto_route:?} != route_into {direct:?}"
                 ));
             }
             for (label, routed) in &compressed_modes {
@@ -276,8 +276,8 @@ pub fn check_routes_sampled(
 }
 
 /// Sampled-pair variant of [`check_route_table`]: every storage mode the
-/// machine supports (auto-picked, lazy flat rows, and — when
-/// router-symmetric — the compressed table and lazy compressed rows) must
+/// machine supports (auto-picked and — when router-symmetric — the
+/// compressed table and lazy compressed rows) must
 /// return routes byte-identical to [`Topology::route_into`] on a seeded
 /// pair sample, with matching hop counts.
 pub fn check_route_table_sampled(
@@ -291,10 +291,7 @@ pub fn check_route_table_sampled(
     if n == 0 || max_pairs == 0 {
         return (violations, pairs);
     }
-    let mut modes = vec![
-        ("auto storage", RoutedTopology::auto(topo)),
-        ("lazy route rows", RoutedTopology::lazy(topo)),
-    ];
+    let mut modes = vec![("auto storage", RoutedTopology::auto(topo))];
     if topo.symmetry_hint().is_some() {
         modes.push(("compressed table", RoutedTopology::compressed(topo)));
         modes.push((
@@ -380,9 +377,9 @@ pub fn report_diff(expected: &NetworkReport, actual: &NetworkReport) -> Vec<Stri
 
 /// Differential replay check for one corpus config: every production
 /// replay path — the node-pair-deduplicated default, the same replay over
-/// dense and lazy CSR route storage, the legacy rank-pair baseline, and
-/// several explicit chunk sizes — must be byte-identical to the naive
-/// single-threaded reference.
+/// the dense table and over the storage `auto` picks, the legacy
+/// rank-pair baseline, and several explicit chunk sizes — must be
+/// byte-identical to the naive single-threaded reference.
 ///
 /// Returns violations; the second tuple element is the number of replay
 /// comparisons performed.
@@ -406,7 +403,7 @@ pub fn check_replay(cfg: &CorpusConfig) -> (Vec<String>, u64) {
     // router-symmetric topologies).
     let mut storage_modes = vec![
         ("dense route table", RoutedTopology::dense(topo.as_ref())),
-        ("lazy route rows", RoutedTopology::lazy(topo.as_ref())),
+        ("auto storage", RoutedTopology::auto(topo.as_ref())),
     ];
     if topo.symmetry_hint().is_some() {
         storage_modes.push((
@@ -733,8 +730,8 @@ pub fn sim_report_diff(expected: &SimReport, actual: &SimReport) -> Vec<String> 
 /// CSR engine must be **byte-identical** to the per-message-routed
 /// `refsim` reference for both forwarding models, across a worker-count ×
 /// window-size sweep (including degenerate one-injection windows and the
-/// auto settings), over lazy as well as dense CSR route storage, and for
-/// a reversed injection order.
+/// auto settings), over the storage `auto` picks as well as the dense
+/// table, and for a reversed injection order.
 ///
 /// Returns violations; the second tuple element is the number of
 /// simulation comparisons performed.
@@ -749,7 +746,7 @@ pub fn check_sim(cfg: &CorpusConfig) -> (Vec<String>, u64) {
     let mut violations = Vec::new();
     let mut checks = 0u64;
     let dense = RoutedTopology::dense(topo.as_ref());
-    let lazy = RoutedTopology::lazy(topo.as_ref());
+    let auto = RoutedTopology::auto(topo.as_ref());
 
     for forwarding in [Forwarding::StoreAndForward, Forwarding::CutThrough] {
         let sim_cfg = SimConfig {
@@ -776,10 +773,10 @@ pub fn check_sim(cfg: &CorpusConfig) -> (Vec<String>, u64) {
         }
 
         checks += 1;
-        let via_lazy =
-            simulate_parallel(&lazy, &mapping, &injections, &sim_cfg, &SimExec::default());
-        for d in sim_report_diff(&reference, &via_lazy) {
-            violations.push(format!("{forwarding:?} lazy route storage: {d}"));
+        let via_auto =
+            simulate_parallel(&auto, &mapping, &injections, &sim_cfg, &SimExec::default());
+        for d in sim_report_diff(&reference, &via_auto) {
+            violations.push(format!("{forwarding:?} auto route storage: {d}"));
         }
 
         checks += 1;

@@ -11,7 +11,6 @@
 //! parallelized over source nodes with rayon.
 
 use crate::link::{LinkId, NodeId};
-use crate::routetable::RouteTable;
 use crate::Topology;
 use rayon::prelude::*;
 
@@ -66,20 +65,6 @@ impl DistanceMatrix {
         DistanceMatrix { n, dist }
     }
 
-    /// Read the distances off an already-built dense route table — pure
-    /// CSR offset differences, no routing at all.
-    pub fn from_route_table(table: &RouteTable) -> Self {
-        let n = table.num_nodes();
-        let mut dist = vec![0u16; n * n];
-        for s in 0..n {
-            for d in 0..n {
-                let h = table.hops(NodeId(s as u32), NodeId(d as u32));
-                dist[s * n + d] = u16::try_from(h).expect("hop count fits u16");
-            }
-        }
-        DistanceMatrix { n, dist }
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -111,7 +96,7 @@ impl DistanceMatrix {
     }
 
     /// Seeded sampled-pairs distance estimate — `diameter`/`mean_distance`
-    /// without the O(n²) matrix, for machines past the dense limit.
+    /// without the O(n²) matrix, for machines too large for one.
     ///
     /// Whenever the ordered-distinct-pair count `n(n−1)` fits within
     /// `max_pairs` the estimator enumerates *every* pair instead of
@@ -232,12 +217,12 @@ mod tests {
         ] {
             let new = DistanceMatrix::new(topo);
             let reference = DistanceMatrix::new_reference(topo);
-            let from_table = DistanceMatrix::from_route_table(&RouteTable::build(topo));
+            let table = crate::RouteTable::build(topo);
             for s in 0..topo.num_nodes() {
                 for d in 0..topo.num_nodes() {
                     let (sn, dn) = (NodeId(s as u32), NodeId(d as u32));
                     assert_eq!(new.hops(sn, dn), reference.hops(sn, dn), "{s}->{d}");
-                    assert_eq!(new.hops(sn, dn), from_table.hops(sn, dn), "{s}->{d}");
+                    assert_eq!(new.hops(sn, dn), table.hops(sn, dn), "{s}->{d}");
                 }
             }
         }

@@ -31,8 +31,8 @@
 //! topology. Topologies whose routes factor through a router-pair core
 //! advertise it via [`Topology::symmetry_hint`], which lets
 //! [`routetable::CompressedRouteTable`] store each core once instead of a
-//! per-node-pair flat CSR, and lets the flat [`RouteTable`] be expanded
-//! from those cores instead of routing every node pair.
+//! per-node-pair flat CSR; [`RoutedTopology::auto`] routes every other
+//! topology directly.
 //!
 //! ```
 //! use netloc_topology::{Topology, Torus3D};
@@ -81,7 +81,7 @@ pub use link::{Link, LinkClass, LinkId, NodeId};
 pub use mapping::Mapping;
 pub use mesh::Mesh3D;
 pub use routergraph::RouterGraph;
-pub use routetable::{CompressedRouteTable, RouteTable, RoutedTopology, SourceRow};
+pub use routetable::{CompressedRouteTable, RouteTable, RoutedTopology};
 pub use slimfly::SlimFly;
 pub use spec::{MappingSpec, SpecError, TopologySpec};
 pub use tapered::TaperedFatTree;
@@ -144,9 +144,9 @@ pub trait Topology: Sync {
 
     /// Structural symmetry of this topology's routes, if any. The default
     /// reports none; router-symmetric families (fat tree, dragonfly, Slim
-    /// Fly, HyperX, Jellyfish) override it so route tables are built from
-    /// one core per router pair and [`RoutedTopology::auto`] can pick
-    /// compressed storage. The fat tree qualifies because its up- and
+    /// Fly, HyperX, Jellyfish) override it so [`RoutedTopology::auto`]
+    /// stores one core per router pair in a compressed table; without it,
+    /// `auto` routes directly. The fat tree qualifies because its up- and
     /// down-paths follow the digits of the destination's *leaf switch*
     /// (`node / k`), never the node itself. Topologies whose core depends
     /// on more than the router pair (the tapered fat tree hashes its up

@@ -107,19 +107,21 @@ impl Topology for Mesh3D {
     }
 
     fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
-        let mut cur = self.coords(src);
-        let dst_c = self.coords(dst);
+        let (a, b) = (self.coords(src), self.coords(dst));
+        let mut here = src.idx();
+        let mut stride = 1;
         for d in 0..3 {
-            while cur[d] < dst_c[d] {
-                out.push(LinkId(self.plus_link[Self::index_of(self.dims, cur)][d]));
-                cur[d] += 1;
+            for _ in b[d]..a[d] {
+                here -= stride;
+                out.push(LinkId(self.plus_link[here][d]));
             }
-            while cur[d] > dst_c[d] {
-                cur[d] -= 1;
-                out.push(LinkId(self.plus_link[Self::index_of(self.dims, cur)][d]));
+            for _ in a[d]..b[d] {
+                out.push(LinkId(self.plus_link[here][d]));
+                here += stride;
             }
+            stride *= self.dims[d];
         }
-        debug_assert_eq!(cur, dst_c);
+        debug_assert_eq!(here, dst.idx());
     }
 
     fn diameter(&self) -> u32 {

@@ -9,9 +9,11 @@
 //! *packet hops* objective up to packetization.
 
 //! Both optimizers query hop distances in their innermost loops, so they
-//! take a [`RoutedTopology`] rather than a bare topology: with dense or
-//! lazy route storage every `hops` query is a CSR offset difference
-//! instead of a route derivation. Wrap a topology with
+//! take a [`RoutedTopology`] rather than a bare topology: with compressed
+//! route storage every `hops` query is a CSR offset difference instead of
+//! a route derivation, and the other machines answer it in closed form.
+//! The greedy mapper also caches one hop column per placed rank while
+//! that rank has unplaced partners. Wrap a topology with
 //! [`RoutedTopology::auto`] (or `direct` to opt out of precomputation).
 
 use crate::link::NodeId;
@@ -72,6 +74,12 @@ pub fn greedy_mapping(
     let mut node_of: Vec<Option<NodeId>> = vec![None; num_ranks];
     let mut node_free = vec![true; nodes];
     let mut placed: Vec<usize> = Vec::with_capacity(num_ranks);
+    // `hops_to[r][c]` = hops from node `c` to placed rank `r`'s node, kept
+    // only while `r` still has unplaced partners (`unplaced[r]` adjacency
+    // entries): each placement routes one column of `nodes` queries
+    // instead of one query per candidate node and placed partner.
+    let mut hops_to: Vec<Vec<u32>> = vec![Vec::new(); num_ranks];
+    let mut unplaced: Vec<usize> = partners.iter().map(Vec::len).collect();
 
     for _ in 0..num_ranks {
         // Next rank: unplaced, maximum traffic to already-placed ranks
@@ -95,12 +103,10 @@ pub fn greedy_mapping(
             if !node_free[n] {
                 continue;
             }
-            let cand = NodeId(n as u32);
             let cost: u128 = partners[next]
                 .iter()
-                .filter_map(|&(p, b)| {
-                    node_of[p].map(|pn| b as u128 * routed.hops(cand, pn) as u128)
-                })
+                .filter(|&&(p, _)| node_of[p].is_some())
+                .map(|&(p, b)| b as u128 * hops_to[p][n] as u128)
                 .sum();
             if cost < best_cost {
                 best_cost = cost;
@@ -112,6 +118,17 @@ pub fn greedy_mapping(
         node_of[next] = Some(NodeId(n as u32));
         placed.push(next);
         degree[next] = 0;
+        for &(p, _) in &partners[next] {
+            unplaced[p] -= 1;
+            if unplaced[p] == 0 {
+                hops_to[p] = Vec::new();
+            }
+        }
+        if unplaced[next] > 0 {
+            hops_to[next] = (0..nodes)
+                .map(|c| routed.hops(NodeId(c as u32), NodeId(n as u32)))
+                .collect();
+        }
     }
 
     Mapping::from_assignment(
@@ -243,7 +260,7 @@ mod tests {
         // Cost is a pure function of the mapping — identical across all
         // route storage modes.
         assert_eq!(c, mapping_cost(&RoutedTopology::direct(&t), &m, &traffic));
-        assert_eq!(c, mapping_cost(&RoutedTopology::lazy(&t), &m, &traffic));
+        assert_eq!(c, mapping_cost(&RoutedTopology::dense(&t), &m, &traffic));
     }
 
     #[test]

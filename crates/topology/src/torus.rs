@@ -124,39 +124,65 @@ impl Topology for Torus3D {
     }
 
     fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
-        let mut cur = self.coords(src);
-        let dst_c = self.coords(dst);
+        let (a, b) = (self.coords(src), self.coords(dst));
+        let mut here = src.idx();
+        let mut stride = 1;
         for d in 0..3 {
-            let size = self.dims[d];
-            if size < 2 || cur[d] == dst_c[d] {
-                continue;
-            }
-            // Shorter ring direction; ties go positive.
-            let fwd = (dst_c[d] + size - cur[d]) % size;
-            let positive = fwd <= size - fwd;
-            let steps = fwd.min(size - fwd);
-            for _ in 0..steps {
-                let here = Self::index_of(self.dims, cur);
-                let (owner, next) = if positive {
-                    let mut nc = cur;
-                    nc[d] = (cur[d] + 1) % size;
-                    (here, nc)
-                } else {
-                    let mut nc = cur;
-                    nc[d] = (cur[d] + size - 1) % size;
-                    // The -1 step traverses the link owned by the neighbor.
-                    (Self::index_of(self.dims, nc), nc)
-                };
-                out.push(LinkId(self.plus_link[owner][d]));
-                cur = next;
-            }
+            walk_ring(&mut here, [a[d], b[d]], self.dims[d], stride, out, |n| {
+                self.plus_link[n][d]
+            });
+            stride *= self.dims[d];
         }
-        debug_assert_eq!(cur, dst_c);
+        debug_assert_eq!(here, dst.idx());
     }
 
     fn diameter(&self) -> u32 {
         (0..3).map(|d| (self.dims[d] / 2) as u32).sum()
     }
+}
+
+/// Append the walk along one torus ring from coordinate `from` to `to`
+/// (`[from, to]`), taking the shorter direction (ties go positive), and
+/// move the node index `here` from the ring's `from` node to its `to`
+/// node. `stride` is the index distance between ring neighbors and
+/// `plus_link(node)` the id of `node`'s link toward its +1 neighbor; a −1
+/// step traverses the link owned by the neighbor it arrives at. Shared by
+/// [`Torus3D`] and [`crate::TorusNd`]; it routes without allocating and
+/// without recomputing node indices from coordinates per step.
+#[inline]
+pub(crate) fn walk_ring(
+    here: &mut usize,
+    [from, to]: [usize; 2],
+    size: usize,
+    stride: usize,
+    out: &mut Vec<LinkId>,
+    plus_link: impl Fn(usize) -> u32,
+) {
+    let line = *here - from * stride;
+    let fwd = if to >= from {
+        to - from
+    } else {
+        to + size - from
+    };
+    // Walking down, the first link is owned by the node below `from`.
+    let (steps, mut c, step) = if fwd <= size - fwd {
+        (fwd, from, 1)
+    } else {
+        (
+            size - fwd,
+            if from == 0 { size - 1 } else { from - 1 },
+            size - 1,
+        )
+    };
+    out.reserve(steps);
+    for _ in 0..steps {
+        out.push(LinkId(plus_link(line + c * stride)));
+        c += step;
+        if c >= size {
+            c -= size;
+        }
+    }
+    *here = line + to * stride;
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! shortest-ring routing.
 
 use crate::link::{Link, LinkClass, LinkId, NodeId};
+use crate::torus::walk_ring;
 use crate::Topology;
 
 const NO_LINK: u32 = u32::MAX;
@@ -112,40 +113,30 @@ impl Topology for TorusNd {
     }
 
     fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
-        let a = self.coords(src);
-        let b = self.coords(dst);
-        (0..self.dims.len())
-            .map(|d| Self::ring_dist(self.dims[d], a[d], b[d]) as u32)
+        let (mut a, mut b) = (src.idx(), dst.idx());
+        self.dims
+            .iter()
+            .map(|&size| {
+                let dist = Self::ring_dist(size, a % size, b % size);
+                (a, b) = (a / size, b / size);
+                dist as u32
+            })
             .sum()
     }
 
     fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         let nd = self.dims.len();
-        let mut cur = self.coords(src);
-        let dst_c = self.coords(dst);
-        for d in 0..nd {
-            let size = self.dims[d];
-            if size < 2 || cur[d] == dst_c[d] {
-                continue;
-            }
-            let fwd = (dst_c[d] + size - cur[d]) % size;
-            let positive = fwd <= size - fwd;
-            let steps = fwd.min(size - fwd);
-            for _ in 0..steps {
-                let here = Self::index_of(&self.dims, &cur);
-                let (owner, next_coord) = if positive {
-                    (here, (cur[d] + 1) % size)
-                } else {
-                    let prev = (cur[d] + size - 1) % size;
-                    let mut nc = cur.clone();
-                    nc[d] = prev;
-                    (Self::index_of(&self.dims, &nc), prev)
-                };
-                out.push(LinkId(self.plus_link[owner * nd + d]));
-                cur[d] = next_coord;
-            }
+        let (mut a, mut b) = (src.idx(), dst.idx());
+        let mut here = a;
+        let mut stride = 1;
+        for (d, &size) in self.dims.iter().enumerate() {
+            walk_ring(&mut here, [a % size, b % size], size, stride, out, |n| {
+                self.plus_link[n * nd + d]
+            });
+            (a, b) = (a / size, b / size);
+            stride *= size;
         }
-        debug_assert_eq!(cur, dst_c);
+        debug_assert_eq!(here, dst.idx());
     }
 
     fn diameter(&self) -> u32 {
@@ -167,10 +158,9 @@ mod tests {
         assert_eq!(a.links().len(), b.links().len());
         for s in 0..a.num_nodes() {
             for d in 0..a.num_nodes() {
-                assert_eq!(
-                    a.hops(NodeId(s as u32), NodeId(d as u32)),
-                    b.hops(NodeId(s as u32), NodeId(d as u32))
-                );
+                let (s, d) = (NodeId(s as u32), NodeId(d as u32));
+                assert_eq!(a.hops(s, d), b.hops(s, d));
+                assert_eq!(a.route(s, d), b.route(s, d), "{s}->{d}");
             }
         }
     }

@@ -74,6 +74,25 @@ impl Topology for ValiantDragonfly {
         self.inner.links()
     }
 
+    fn hops(&self, src: NodeId, dst: NodeId) -> u32 {
+        let (gs, gd) = (self.inner.group_of(src), self.inner.group_of(dst));
+        if gs != gd {
+            let mid = self.intermediate(src, dst, gs, gd);
+            if mid != gs && mid != gd {
+                // The two terminal and two global hops of `route_into`,
+                // plus a local hop wherever a phase leaves or arrives off
+                // its gateway router.
+                let (_, gw_s, arrive_mid) = self.inner.global_route_of(gs, mid);
+                let (_, leave_mid, gw_d) = self.inner.global_route_of(mid, gd);
+                return 4
+                    + u32::from(self.inner.router_of(src) != gw_s)
+                    + u32::from(arrive_mid != leave_mid)
+                    + u32::from(gw_d != self.inner.router_of(dst));
+            }
+        }
+        self.inner.hops(src, dst)
+    }
+
     fn route_into(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
         if src == dst {
             return;
@@ -166,6 +185,25 @@ mod tests {
             }
         }
         assert!(detoured > 0);
+    }
+
+    #[test]
+    fn hops_matches_route_length() {
+        // Three groups or more detour; two groups never do.
+        for v in [
+            ValiantDragonfly::new(df()),
+            ValiantDragonfly::new(Dragonfly::new(1, 1, 1)),
+        ] {
+            let mut route = Vec::new();
+            for s in 0..v.num_nodes() {
+                for d in 0..v.num_nodes() {
+                    let (s, d) = (NodeId(s as u32), NodeId(d as u32));
+                    route.clear();
+                    v.route_into(s, d, &mut route);
+                    assert_eq!(v.hops(s, d), route.len() as u32, "{s}->{d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@ use netloc::mpi::{
     TraceBuilder,
 };
 use netloc::topology::bfs::BfsRouter;
-use netloc::topology::{grid, Dragonfly, FatTree, Mapping, NodeId, RouteTable, Topology, Torus3D};
+use netloc::topology::{
+    grid, CompressedRouteTable, Dragonfly, FatTree, Mapping, NodeId, Topology, Torus3D,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -886,8 +888,7 @@ fn symmetric_family_routes_are_clean_walks() {
 /// Replays over every route storage of a router-symmetric machine — dense,
 /// compressed (eager and lazy) and the auto picker — are byte-identical to
 /// the naive reference replay, which routes each pair directly, for random
-/// traffic and random placements. The dense table is itself expanded from
-/// the router-pair cores, so it cannot serve as the oracle.
+/// traffic and random placements.
 #[test]
 fn compressed_replay_matches_dense_on_symmetric_machines() {
     use netloc::core::analyze_network_reference;
@@ -930,21 +931,22 @@ fn compressed_replay_matches_dense_on_symmetric_machines() {
     );
 }
 
-/// Dense tables of router-symmetric machines are expanded from router-pair
-/// cores; every stored route must still equal per-pair `route_into`.
+/// Compressed tables of router-symmetric machines, built from router-pair
+/// cores, replay exactly the per-pair `route_into` routes. (The name is
+/// kept from when dense tables were expanded from the same cores.)
 #[test]
 fn dense_table_from_cores_matches_route_into() {
     fn assert_table_matches(topo: &dyn Topology) {
-        let table = RouteTable::build(topo);
+        let table = CompressedRouteTable::build(topo);
         let n = topo.num_nodes();
-        let mut direct = Vec::new();
+        let (mut direct, mut scratch) = (Vec::new(), Vec::new());
         for s in 0..n {
             for d in 0..n {
                 let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
                 direct.clear();
                 topo.route_into(src, dst, &mut direct);
                 assert_eq!(
-                    table.route_of(src, dst),
+                    table.route_of(src, dst, &mut scratch),
                     &direct[..],
                     "{}: {s}->{d}",
                     topo.name()

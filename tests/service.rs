@@ -7,6 +7,7 @@ use netloc::core::{analyze_network_routed, TrafficMatrix};
 use netloc::mpi::{parse_trace, write_trace, CollectiveOp, Payload, Rank, TraceBuilder};
 use netloc::service::http::json_escape;
 use netloc::service::payload::{AnalyzeResponse, TraceMeta};
+use netloc::service::store::Kind;
 use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
 use netloc::topology::{MappingSpec, RoutedTopology, TopologySpec};
@@ -97,8 +98,8 @@ fn concurrent_clients_byte_identical_with_cache_accounting() {
     let server = start(test_config());
     let addr = server.addr();
     let trace_text = sample_trace_text();
-    let body = analyze_body(&trace_text, "torus:3,3,3", "consecutive");
-    let expected = expected_analyze_bytes(&trace_text, "torus:3,3,3", "consecutive");
+    let body = analyze_body(&trace_text, "hyperx:3x3,3", "consecutive");
+    let expected = expected_analyze_bytes(&trace_text, "hyperx:3x3,3", "consecutive");
 
     // Warm-up: the one and only miss for this key.
     let warm = client::post(addr, "/v1/analyze", &body).unwrap();
@@ -135,13 +136,13 @@ fn concurrent_clients_byte_identical_with_cache_accounting() {
     assert_eq!(
         json_counter(s, &["route_tables_built"]),
         1,
-        "one RouteTable for one distinct spec: {s}"
+        "one route table for one distinct spec: {s}"
     );
     assert_eq!(server.state().topo_cache.tables_built(), 1);
 
     // Two spellings of one topology share a table (canonical keying), and
     // a genuinely new spec builds exactly one more.
-    for spelling in ["torus:04,4,4", "torus:4,4,4", "torus:4, 4,4"] {
+    for spelling in ["hyperx:04x4,2", "hyperx:4x4,2", "hyperx:4x4, 2"] {
         let resp = client::post(
             addr,
             "/v1/analyze",
@@ -420,7 +421,7 @@ fn trace_registry_round_trip_is_byte_identical_with_inline_traces() {
 fn persistent_data_dir_survives_restart_with_disk_hits() {
     let dir = tmpdir("persist");
     let trace_text = sample_trace_text();
-    let body = analyze_body(&trace_text, "torus:3,3,3", "consecutive");
+    let body = analyze_body(&trace_text, "hyperx:3x3,3", "consecutive");
     let config = || ServerConfig {
         data_dir: Some(dir.clone()),
         ..test_config()
@@ -446,7 +447,7 @@ fn persistent_data_dir_survives_restart_with_disk_hits() {
     let other = client::post(
         addr,
         "/v1/analyze",
-        &analyze_body(&trace_text, "torus:3,3,3", "random:5"),
+        &analyze_body(&trace_text, "hyperx:3x3,3", "random:5"),
     )
     .unwrap();
     assert_eq!(other.status, 200, "{}", other.body_str());
@@ -470,6 +471,41 @@ fn persistent_data_dir_survives_restart_with_disk_hits() {
         "cold memory: both lookups missed (one refilled from disk)"
     );
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The torus has no router symmetry, so the service routes it directly:
+/// no table is built, cached or persisted, and the bytes are those of the
+/// direct library call and of a fresh server.
+#[test]
+fn torus_analyze_builds_no_route_table() {
+    let dir = tmpdir("torus-direct");
+    let trace_text = sample_trace_text();
+    let body = analyze_body(&trace_text, "torus:3,3,3", "consecutive");
+    let server = start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..test_config()
+    });
+    let resp = client::post(server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(
+        resp.body,
+        expected_analyze_bytes(&trace_text, "torus:3,3,3", "consecutive")
+    );
+    let s = client::get(server.addr(), "/v1/statusz").unwrap();
+    let s = s.body_str();
+    assert_eq!(json_counter(s, &["route_tables_built"]), 0, "{s}");
+    assert_eq!(json_counter(s, &["route_table_specs"]), 0, "{s}");
+    server.shutdown();
+    let tables = std::fs::read_dir(dir.join(Kind::Table.dir()))
+        .map(|d| d.count())
+        .unwrap_or(0);
+    assert_eq!(tables, 0, "no route table persisted");
+
+    let fresh_server = start(test_config());
+    let fresh = client::post(fresh_server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(fresh.body, resp.body, "same bytes as a fresh server");
+    fresh_server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,7 +14,7 @@ use netloc::service::{RunningServer, Server, ServerConfig};
 use netloc::testkit::client;
 use netloc::testkit::fault;
 use netloc::testkit::RetryPolicy;
-use netloc::topology::{RouteTable, Torus3D};
+use netloc::topology::{CompressedRouteTable, HyperX, NodeId, Topology};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
@@ -77,7 +77,7 @@ fn sample_trace_text() -> String {
 
 fn analyze_body(trace_text: &str) -> String {
     format!(
-        "{{\"trace\": {}, \"topology\": \"torus:3,3,3\", \"mapping\": \"consecutive\"}}",
+        "{{\"trace\": {}, \"topology\": \"hyperx:3x3,3\", \"mapping\": \"consecutive\"}}",
         json_escape(trace_text)
     )
 }
@@ -218,15 +218,17 @@ fn forged_route_table_with_an_unknown_link_is_rebuilt() {
     assert_eq!(fresh.status, 200, "{}", fresh.body_str());
     fresh_server.shutdown();
 
-    // The first stored link id belongs to route 0 → 1, which the sample
-    // trace sends over; point it past the torus's links.
-    let n = 27;
-    let mut blob = RouteTable::build(&Torus3D::new([3, 3, 3])).to_bytes();
-    let first_link = 8 + 4 * (n * n + 1);
+    // Router pair 0 → 2 carries the sample trace's send from node 1 to
+    // node 6; point the first link of its stored core past the machine's
+    // links. The blob is `[magic, nodes, p]` (u64s), then 9² + 1 offsets.
+    let mut blob = CompressedRouteTable::build(&HyperX::new(vec![3, 3], 3)).to_bytes();
+    let offset = |i: usize| u32::from_le_bytes(blob[24 + 4 * i..28 + 4 * i].try_into().unwrap());
+    let first_link = 24 + 4 * (9 * 9 + 1) + 4 * offset(2) as usize;
+    assert!(offset(3) > offset(2), "the core of routers 0 → 2 is stored");
     blob[first_link..first_link + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     {
         let store = DiskStore::open(&dir).expect("store opens");
-        store.put(Kind::Table, "torus:3,3,3", &blob);
+        store.put(Kind::Table, "hyperx:3x3,3", &blob);
         store.flush();
     }
 
@@ -241,6 +243,61 @@ fn forged_route_table_with_an_unknown_link_is_rebuilt() {
     assert_eq!(state.handler_panics.load(Ordering::Relaxed), 0);
     assert_eq!(state.topo_cache.tables_built(), 1, "forged table rebuilt");
     assert_eq!(state.topo_cache.tables_from_disk(), 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `tables/` entry in the flat all-pairs format older servers persisted
+/// — `[n u64][offsets: (n²+1) × u32][links × u32]`, valid frame and all —
+/// under a router-symmetric spec is a clean miss: the compressed table is
+/// rebuilt and rewritten over it, nothing is quarantined, and the bytes
+/// are a fresh server's.
+#[test]
+fn flat_route_table_from_an_older_server_is_a_clean_miss() {
+    let dir = tmpdir("flat-table");
+    let body = analyze_body(&sample_trace_text());
+    let fresh_server = start(test_config());
+    let fresh = client::post(fresh_server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(fresh.status, 200, "{}", fresh.body_str());
+    fresh_server.shutdown();
+
+    let topo = HyperX::new(vec![3, 3], 3);
+    let n = topo.num_nodes();
+    let (mut offsets, mut links) = (vec![0u32], Vec::new());
+    for s in 0..n as u32 {
+        for d in 0..n as u32 {
+            links.extend(topo.route(NodeId(s), NodeId(d)).iter().map(|l| l.0));
+            offsets.push(links.len() as u32);
+        }
+    }
+    let mut flat = (n as u64).to_le_bytes().to_vec();
+    for word in offsets.iter().chain(&links) {
+        flat.extend_from_slice(&word.to_le_bytes());
+    }
+    {
+        let store = DiskStore::open(&dir).expect("store opens");
+        store.put(Kind::Table, "hyperx:3x3,3", &flat);
+        store.flush();
+    }
+
+    let server = start(ServerConfig {
+        data_dir: Some(dir.clone()),
+        ..test_config()
+    });
+    let resp = client::post(server.addr(), "/v1/analyze", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    assert_eq!(resp.body, fresh.body, "same bytes as a fresh server");
+    let state = server.state();
+    assert_eq!(state.topo_cache.tables_built(), 1, "flat table rebuilt");
+    assert_eq!(state.topo_cache.tables_from_disk(), 0);
+    let store = state.store.as_ref().unwrap();
+    store.flush();
+    assert_eq!(store.stats().quarantined, 0, "a clean miss, not corruption");
+    assert_eq!(
+        store.get(Kind::Table, "hyperx:3x3,3"),
+        Some(CompressedRouteTable::build(&topo).to_bytes()),
+        "the compressed table was written over the flat one"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
